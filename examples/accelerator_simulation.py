@@ -18,7 +18,7 @@ preserved per-patch seed loop.
 import time
 
 from repro.core import (CoDesignPipeline, dataflow_ablation, format_table,
-                        hardware_rig, run_table1)
+                        get_experiment, hardware_rig)
 from repro.hardware import GenNerfAccelerator
 from repro.models.workload import typical_workload
 from repro.perf.reference import simulate_frame_loop
@@ -78,7 +78,8 @@ def main() -> None:
     print("=== Gen-NeRF accelerator simulation ===\n")
     print(format_table(
         ["module", "area mm^2", "paper", "power mW", "paper"],
-        run_table1(), title="Table 1 — area & power (28 nm @ 1 GHz)"))
+        get_experiment("table1").run().rows,
+        title="Table 1 — area & power (28 nm @ 1 GHz)"))
 
     pipeline = CoDesignPipeline()
     rows = []

@@ -3,8 +3,9 @@
 :mod:`repro.core.pipeline` runs paper-scale workloads on device models;
 :mod:`repro.core.registry` holds one declarative :class:`Experiment`
 per paper table/figure (prepare → units → reduce → render) driven by a
-:class:`repro.core.context.RunContext`; :mod:`repro.core.experiments`
-holds the picklable unit bodies plus the legacy ``run_*`` wrappers;
+:class:`repro.core.context.RunContext` — run one with
+``get_experiment(name).run(RunContext(workers=...), **overrides)``;
+:mod:`repro.core.experiments` holds the picklable unit bodies;
 :mod:`repro.core.reporting` renders artefact text.  ``python -m repro``
 (:mod:`repro.cli`) lists, runs, sweeps, and batch-ingests everything
 registered.
@@ -14,11 +15,15 @@ long-lived render daemon behind ``python -m repro serve`` — a
 virtual-clock scheduler coalescing rays across concurrent requests
 into batched dispatches, byte-identical to direct renders.
 
-Robustness layer (``docs/robustness.md``): :mod:`repro.core.faults`
-injects deterministic worker crashes/hangs/corruption and owns the
-shared retry policy; :mod:`repro.core.log` carries every fallback as a
-structured event (``REPRO_LOG`` knob); :mod:`repro.core.batch` ingests
-arbitrary job directories with per-job quarantine and resume.
+Execution and robustness layer (``docs/robustness.md``):
+:func:`run_variants` (experiment units on a pool that lives for one
+call) and :func:`map_chunks` (frame chunks on a persistent pool) share
+one pooled-attempt loop in :mod:`repro.core.frame_pool`;
+:mod:`repro.core.faults` injects deterministic worker
+crashes/hangs/corruption and owns the retry policy and the lenient knob
+resolver; :mod:`repro.core.log` carries every fallback as a structured
+event (``REPRO_LOG`` knob); :mod:`repro.core.batch` ingests arbitrary
+job directories with per-job quarantine and resume.
 """
 
 from .figures import (ascii_bar_chart, ascii_line_chart,
@@ -35,11 +40,7 @@ from .runner import (detect_workers, in_pool_worker, mark_pool_worker,
                      run_variants)
 from .frame_pool import map_chunks, resolve_workers, shutdown_pool
 from .scene_cache import SceneCache
-from .experiments import (AblationRow, FIG9_PAIRS, Fig9Point,
-                          run_coarse_budget_ablation,
-                          run_fig2, run_fig9, run_fig10, run_fig11,
-                          run_fig12, run_patch_candidate_ablation,
-                          run_table1, run_table2, run_table3, run_table4)
+from .experiments import AblationRow, FIG9_PAIRS, Fig9Point
 from .registry import (Experiment, ExperimentResult, all_experiments,
                        experiment_names, get_experiment, run_sweep)
 from .pipeline import (CoDesignPipeline, HardwareRig, dataflow_ablation,
@@ -55,9 +56,6 @@ from .reporting import (format_series, format_table, ratio_note,
 __all__ = [
     "CoDesignPipeline", "HardwareRig", "hardware_rig", "dataflow_ablation",
     "format_table", "format_series", "ratio_note", "write_artifact",
-    "run_table1", "run_fig2", "run_fig9", "run_table2", "run_table3",
-    "run_fig10", "run_fig11", "run_table4", "run_fig12",
-    "run_coarse_budget_ablation", "run_patch_candidate_ablation",
     "run_variants", "detect_workers", "in_pool_worker", "mark_pool_worker",
     "map_chunks", "resolve_workers", "shutdown_pool", "llff_scene_data",
     "llff_references", "clear_scene_memos", "LLFF_EVAL_SCENES",

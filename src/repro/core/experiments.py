@@ -1,4 +1,4 @@
-"""Experiment unit functions and the legacy ``run_*`` entry points.
+"""Experiment unit functions for the registry.
 
 This module holds the *bodies* of every paper experiment as
 module-level, argument-pure, picklable unit functions — the task list
@@ -8,10 +8,9 @@ paper's full resolutions (the simulator does not march rays);
 algorithm experiments take scale knobs so the numpy training stays
 tractable, with defaults chosen to finish in minutes.
 
-The historical ``run_<name>`` functions remain as thin wrappers that
-delegate to the registry (``repro.core.registry``) so existing callers
-keep working; the orchestration — prepare → units → reduce → render —
-lives entirely in the registry layer.
+The orchestration — prepare → units → reduce → render — lives entirely
+in the registry layer; run an experiment with
+``get_experiment(name).run(RunContext(workers=...), **overrides)``.
 """
 
 from __future__ import annotations
@@ -30,24 +29,14 @@ from ..models.oracle import OracleStrategy, oracle_render_image
 from ..models.workload import (RenderWorkload, profiling_workload,
                                table2_workload, typical_workload)
 from ..scenes.datasets import DATASETS, Scene, make_scene
-from .context import (LLFF_EVAL_SCENES, RunContext, clear_scene_memos,
-                      llff_references, llff_scene_data)
+from .context import LLFF_EVAL_SCENES, llff_references, llff_scene_data
 from .pipeline import CoDesignPipeline, dataflow_ablation
-from .runner import detect_workers, run_variants
 
 PROFILE_DATASETS = ("deepvoxels", "nerf_synthetic", "llff")
 
 # Fig. 9's coarse/focused pairs (paper Sec. 5.2).
 FIG9_PAIRS = ((8, 8), (8, 16), (16, 32), (32, 64))
 FIG9_UNIFORM_POINTS = (16, 24, 48, 96, 192)
-
-
-def _experiment(name: str):
-    """The registered experiment (imported lazily: the registry module
-    imports this one for the unit functions)."""
-    from .registry import get_experiment
-
-    return get_experiment(name)
 
 
 # ----------------------------------------------------------------------
@@ -63,11 +52,6 @@ def _table1_unit() -> List[Tuple[str, float, float, float, float]]:
         rows.append((module.name, module.area_mm2, paper_area,
                      module.power_mw, paper_power))
     return rows
-
-
-def run_table1() -> List[Tuple[str, float, float, float, float]]:
-    """Legacy entry point: Table 1 rows through the registry."""
-    return _experiment("table1").run().rows
 
 
 # ----------------------------------------------------------------------
@@ -100,11 +84,6 @@ def _fig2_unit() -> Dict[str, Dict[str, Dict[str, float]]]:
             per_dataset[dataset] = phases
         results[device_name] = per_dataset
     return results
-
-
-def run_fig2() -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Legacy entry point: Fig. 2 breakdown through the registry."""
-    return _experiment("fig2").run().rows
 
 
 # ----------------------------------------------------------------------
@@ -176,31 +155,6 @@ def _fig9_unit(dataset: str, seed: int, step: int, reference_points: int,
             mflops_per_pixel=_fig9_flops(strategy),
             psnr=M.psnr(image, reference)))
     return curves
-
-
-def run_fig9(datasets: Sequence[str] = PROFILE_DATASETS, seed: int = 3,
-             step: int = 4, reference_points: int = 384,
-             pairs: Sequence[Tuple[int, int]] = FIG9_PAIRS,
-             uniform_points: Sequence[int] = FIG9_UNIFORM_POINTS,
-             image_scale: float = 1 / 8,
-             workers: Optional[int] = None
-             ) -> Dict[str, Dict[str, List[Fig9Point]]]:
-    """Legacy entry point: {dataset: {"gen_nerf": [...], "ibrnet": [...]}}
-    curves through the registry.
-
-    Oracle-field evaluation isolates the sampling strategies (see
-    ``repro.models.oracle``); IBRNet's curve uses its hierarchical
-    sampler at matched total point budgets.  The per-dataset sweeps are
-    independent and fan out over :func:`run_variants` (``workers=None``
-    autodetects, 1 forces single-process); results come back in dataset
-    order and are byte-identical either way.
-    """
-    return _experiment("fig9").run(
-        RunContext(workers=workers), datasets=tuple(datasets), seed=seed,
-        step=step, reference_points=reference_points,
-        pairs=tuple(tuple(pair) for pair in pairs),
-        uniform_points=tuple(uniform_points),
-        image_scale=image_scale).rows
 
 
 # ----------------------------------------------------------------------
@@ -403,32 +357,6 @@ def _table2_unit(kind: str, train_steps: int, eval_step: int,
     return rows
 
 
-def run_table2(train_steps: int = 240, eval_step: int = 8,
-               image_scale: float = 1 / 12, num_points: int = 20,
-               seed: int = 1, scenes: Sequence[str] = ("fern", "fortress",
-                                                       "horns", "trex"),
-               num_source_views: int = 10,
-               workers: Optional[int] = None) -> List[AblationRow]:
-    """Legacy entry point: component ablation (paper Table 2) through
-    the registry.
-
-    Trains each variant with an identical schedule on the four LLFF
-    scene analogues, then evaluates PSNR/LPIPS-proxy per scene.
-    MFLOPs/pixel columns come from the paper-scale workload model.
-
-    The four variant units (vanilla / no-transformer / mixer / the
-    Gen-NeRF-plus-pruning ladder) are independent and run through
-    :func:`run_variants`: ``workers=None`` autodetects (``REPRO_WORKERS``
-    env, then CPU count), 1 forces the single-process path.  Rows come
-    back in the fixed ladder order and are byte-identical either way.
-    """
-    return _experiment("table2").run(
-        RunContext(workers=workers), train_steps=train_steps,
-        eval_step=eval_step, image_scale=image_scale,
-        num_points=num_points, seed=seed, scenes=tuple(scenes),
-        num_source_views=num_source_views).rows
-
-
 TABLE3_METHODS = ("IBRNet", "Gen-NeRF")
 
 
@@ -499,28 +427,6 @@ def _table3_unit(method: str, views: int, train_steps: int,
                        per_scene=per_scene)
 
 
-def run_table3(train_steps: int = 240, finetune_steps: int = 80,
-               eval_step: int = 8, image_scale: float = 1 / 12,
-               num_points: int = 20, seed: int = 1,
-               view_counts: Sequence[int] = (4, 10),
-               workers: Optional[int] = None) -> List[AblationRow]:
-    """Legacy entry point: per-scene finetuning comparison (paper
-    Table 3) through the registry.
-
-    Pretrains an IBRNet baseline and a Gen-NeRF model, then finetunes a
-    copy on each scene before evaluation.  The (view count, method)
-    units are independent and run through :func:`run_variants` —
-    ``workers=None`` autodetects, 1 forces single-process — with rows
-    returned in the fixed (views, method) order, byte-identical either
-    way.
-    """
-    return _experiment("table3").run(
-        RunContext(workers=workers), train_steps=train_steps,
-        finetune_steps=finetune_steps, eval_step=eval_step,
-        image_scale=image_scale, num_points=num_points, seed=seed,
-        view_counts=tuple(view_counts)).rows
-
-
 # ----------------------------------------------------------------------
 # Fig. 10 / Fig. 11 / Table 4 — accelerator vs devices
 # ----------------------------------------------------------------------
@@ -536,11 +442,6 @@ def _fig10_unit(seed: int,
     return {dataset: pipeline.fps_comparison(dataset, seed=seed,
                                              workers=workers)
             for dataset in PROFILE_DATASETS}
-
-
-def run_fig10(seed: int = 0) -> Dict[str, Dict[str, float]]:
-    """Legacy entry point: Fig. 10 comparison through the registry."""
-    return _experiment("fig10").run(seed=seed).rows
 
 
 def _fig11_unit(axis: str, value: int, seed: int,
@@ -567,24 +468,6 @@ def _fig11_unit(axis: str, value: int, seed: int,
     else:
         raise KeyError(f"unknown fig11 axis {axis!r}")
     return row
-
-
-def run_fig11(view_counts: Sequence[int] = (10, 6, 4, 2, 1),
-              point_counts: Sequence[int] = (128, 112, 96, 80, 64),
-              seed: int = 0,
-              workers: Optional[int] = None
-              ) -> Dict[str, List[Dict[str, float]]]:
-    """Legacy entry point: scalability sweeps on NeRF-Synthetic 800x800
-    (paper Fig. 11) through the registry.
-
-    Every sweep point is an independent simulator run; they fan out
-    over :func:`run_variants` (``workers=None`` autodetects, 1 forces
-    single-process) and come back in sweep order, byte-identical
-    either way.
-    """
-    return _experiment("fig11").run(
-        RunContext(workers=workers), view_counts=tuple(view_counts),
-        point_counts=tuple(point_counts), seed=seed).rows
 
 
 def _table4_unit(seed: int,
@@ -621,11 +504,6 @@ def _table4_unit(seed: int,
     return rows
 
 
-def run_table4(seed: int = 0) -> List[Dict[str, object]]:
-    """Legacy entry point: Table 4 device rows through the registry."""
-    return _experiment("table4").run(seed=seed).rows
-
-
 # ----------------------------------------------------------------------
 # Fig. 12 — dataflow / storage ablation
 # ----------------------------------------------------------------------
@@ -646,14 +524,6 @@ def _fig12_unit(views: int, seed: int,
             "prefetch_mb": sim.prefetch_bytes / 1e6,
         }
     return per_variant
-
-
-def run_fig12(view_counts: Sequence[int] = (10, 6, 2), seed: int = 0
-              ) -> Dict[int, Dict[str, Dict[str, float]]]:
-    """Legacy entry point: {views: {variant: {data_s, compute_s,
-    total_s, utilization}}} through the registry."""
-    return _experiment("fig12").run(
-        view_counts=tuple(view_counts), seed=seed).rows
 
 
 # ----------------------------------------------------------------------
@@ -681,19 +551,6 @@ def _coarse_budget_unit(dataset: str, seed: int, step: int,
                          "avg_points": stats["avg_points"],
                          "psnr": M.psnr(image, reference)})
     return rows
-
-
-def run_coarse_budget_ablation(dataset: str = "nerf_synthetic", seed: int = 3,
-                               step: int = 8, image_scale: float = 1 / 8,
-                               coarse_counts: Sequence[int] = (4, 8, 16, 32),
-                               taus: Sequence[float] = (1e-4, 1e-3, 1e-2),
-                               focused: int = 32) -> List[Dict[str, float]]:
-    """Legacy entry point: coarse-budget sensitivity through the
-    registry."""
-    return _experiment("ablation_coarse_budget").run(
-        dataset=dataset, seed=seed, step=step, image_scale=image_scale,
-        coarse_counts=tuple(coarse_counts), taus=tuple(taus),
-        focused=focused).rows
 
 
 OCCUPANCY_FAMILIES = ("llff", "nerf_synthetic", "deepvoxels", "thicket",
@@ -769,9 +626,3 @@ def _patch_candidate_unit(seed: int) -> List[Dict[str, float]]:
                      "prefetch_mb": sim.prefetch_bytes / 1e6,
                      "utilization": sim.pe_utilization})
     return rows
-
-
-def run_patch_candidate_ablation(seed: int = 0) -> List[Dict[str, float]]:
-    """Legacy entry point: candidate-set ablation through the
-    registry."""
-    return _experiment("ablation_patch_candidates").run(seed=seed).rows

@@ -37,9 +37,10 @@ The retry policy half is plain shared machinery, active whether or not
 a plan is installed: :func:`retry_call` (bounded attempts, exponential
 backoff with deterministic jitter, retry on declared exception types),
 :func:`backoff_delay` (the jitter schedule itself), and the
-``REPRO_TASK_TIMEOUT`` / ``REPRO_RETRIES`` knobs with the same lenient
-parsing as ``REPRO_WORKERS`` (malformed values warn and fall back,
-never crash an hours-long run).
+``REPRO_TASK_TIMEOUT`` / ``REPRO_RETRIES`` knobs.  :func:`resolve_knob`
+is the one lenient parser behind these, ``REPRO_WORKERS`` and the serve
+batching knobs (malformed values warn and fall back, never crash an
+hours-long run).
 """
 
 from __future__ import annotations
@@ -245,7 +246,7 @@ def retry_call(function: Callable, *args,
 
 
 # ----------------------------------------------------------------------
-# Env knobs (lenient, like REPRO_WORKERS)
+# Env knobs (lenient: malformed values warn and fall through)
 # ----------------------------------------------------------------------
 def _parse_number(value, source: str, cast):
     """Best-effort numeric parse; ``None`` (with a structured warning)
@@ -259,6 +260,20 @@ def _parse_number(value, source: str, cast):
         return None
 
 
+def resolve_knob(value, source: str, env: str, cast, default):
+    """The one lenient knob resolver: the explicit ``value`` (reported
+    as ``source`` if malformed), then the ``env`` variable (blank values
+    skipped), then ``default``.  Malformed values emit ``knob.ignored``
+    and fall through to the next source."""
+    if value is not None:
+        value = _parse_number(value, source, cast)
+    if value is None:
+        text = os.environ.get(env)
+        if text is not None and text.strip():
+            value = _parse_number(text, env, cast)
+    return default if value is None else value
+
+
 def detect_task_timeout(timeout=None) -> Optional[float]:
     """Resolve the per-task timeout in seconds for the pool layers.
 
@@ -267,15 +282,8 @@ def detect_task_timeout(timeout=None) -> Optional[float]:
     Empty/whitespace env values are skipped; malformed values warn and
     fall through; any non-positive value disables timeouts explicitly.
     """
-    if timeout is not None:
-        timeout = _parse_number(timeout, "timeout", float)
-    if timeout is None:
-        env = os.environ.get(TIMEOUT_ENV)
-        if env is not None and env.strip():
-            timeout = _parse_number(env, TIMEOUT_ENV, float)
-    if timeout is None:
-        return None
-    return timeout if timeout > 0 else None
+    timeout = resolve_knob(timeout, "timeout", TIMEOUT_ENV, float, None)
+    return timeout if timeout is not None and timeout > 0 else None
 
 
 def detect_retries(retries=None) -> int:
@@ -286,12 +294,5 @@ def detect_retries(retries=None) -> int:
     through; negative values clamp to 0 (no retries, straight to the
     final in-process attempt on failure) rather than raising.
     """
-    if retries is not None:
-        retries = _parse_number(retries, "retries", int)
-    if retries is None:
-        env = os.environ.get(RETRIES_ENV)
-        if env is not None and env.strip():
-            retries = _parse_number(env, RETRIES_ENV, int)
-    if retries is None:
-        retries = DEFAULT_RETRIES
-    return max(int(retries), 0)
+    return max(resolve_knob(retries, "retries", RETRIES_ENV, int,
+                            DEFAULT_RETRIES), 0)

@@ -30,19 +30,22 @@ per-task state):
   the host with a second layer of processes.
 
 Fault tolerance (see :mod:`repro.core.faults` and
-``docs/robustness.md``): every task gets a per-task timeout
+``docs/robustness.md``): :func:`_run_pooled` is the one pooled-attempt
+loop behind both this module's :func:`map_chunks` and
+:func:`repro.core.run_variants`.  Every task gets a per-task timeout
 (``REPRO_TASK_TIMEOUT``) and a bounded retry budget
 (``REPRO_RETRIES``).  A crashed or hung worker re-executes *only its
-chunk* — completed chunks keep their results — with pooled retries
+task* — completed tasks keep their results — with pooled retries
 first and a final in-process attempt as the backstop, so the output is
 byte-identical to the sequential path no matter which workers died.
 ``BrokenProcessPool`` mid-run rebuilds the pool once before degrading
 to fully sequential execution; a timed-out pool (which still holds a
 hung worker) is retired without joining and respawned on the next
 attempt.  Every retry, rebuild, and degradation emits a structured
-event through :mod:`repro.core.log`; an exception raised *by a chunk
-function* propagates unchanged in every mode — retries are for
-infrastructure faults, not for deterministic chunk errors.
+event through :mod:`repro.core.log`, named after the calling layer
+(``frame_pool.*`` or ``run_variants.*``); an exception raised *by a
+task function* propagates unchanged in every mode — retries are for
+infrastructure faults, not for deterministic task errors.
 """
 
 from __future__ import annotations
@@ -54,8 +57,7 @@ import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import faults, log
-from .runner import (POOL_WORKER_ENV, detect_workers, in_pool_worker,
-                     mark_pool_worker)
+from .runner import detect_workers, in_pool_worker, mark_pool_worker
 
 _LOG = log.get_logger("frame_pool")
 
@@ -130,22 +132,19 @@ def get_pool(payload: tuple, workers: int
 
 def shutdown_pool() -> None:
     """Retire the persistent pool (idempotent; registered at exit)."""
+    _retire_pool(wait=True)
+
+
+def _retire_pool(wait: bool) -> None:
+    """Drop the persistent pool.  ``wait=False`` retires a pool that may
+    hold a *hung* worker without joining it (a normal shutdown would
+    block on the wedged process; the abandoned worker exits on its own
+    once its sleep/compute ends)."""
     global _POOL
     if _POOL is not None:
         executor, _, _ = _POOL
         _POOL = None
-        executor.shutdown(cancel_futures=True)
-
-
-def _retire_pool_nowait() -> None:
-    """Retire a pool that may hold a *hung* worker: drop it without
-    joining (a normal shutdown would block on the wedged process; the
-    abandoned worker exits on its own once its sleep/compute ends)."""
-    global _POOL
-    if _POOL is not None:
-        executor, _, _ = _POOL
-        _POOL = None
-        executor.shutdown(wait=False, cancel_futures=True)
+        executor.shutdown(wait=wait, cancel_futures=True)
 
 
 atexit.register(shutdown_pool)
@@ -157,6 +156,128 @@ def _is_corrupt(value, validate: Optional[Callable], index: int) -> bool:
     if isinstance(value, faults.CorruptResult):
         return True
     return validate is not None and not validate(value, index)
+
+
+def _run_pooled(scope: str, function: Callable, payload, tasks: List[tuple],
+                open_pool: Callable[[int], concurrent.futures.Executor],
+                shared: bool, timeout=None, retries=None,
+                validate: Optional[Callable] = None) -> List:
+    """The one pooled-attempt loop: ``function(payload, *task)`` for
+    every task on ``open_pool(pending_count)``'s executor, results in
+    task order (see :func:`map_chunks` for the fault handling).
+
+    ``scope`` names the calling layer: it prefixes every event, selects
+    the :class:`repro.core.faults.FaultPlan` scope, and salts the
+    backoff.  A ``shared`` pool is the persistent one :func:`get_pool`
+    keeps warm across calls: faults retire it through the module
+    singleton and it outlives the call.  Any other pool belongs to this
+    call and is shut down once the pooled attempts end.
+    """
+    timeout = faults.detect_task_timeout(timeout)
+    retries = faults.detect_retries(retries)
+    plan = faults.active_plan()
+
+    results: List = [_UNSET] * len(tasks)
+    pending = list(range(len(tasks)))
+    rebuilt = False
+    degraded: Optional[str] = None
+    executor: Optional[concurrent.futures.Executor] = None
+
+    def retire(wait: bool = True) -> None:
+        nonlocal executor
+        if shared:
+            _retire_pool(wait)
+        elif executor is not None:
+            executor.shutdown(wait=wait, cancel_futures=True)
+        executor = None
+
+    try:
+        # max(retries, 1) pooled rounds, plus one bonus round when the
+        # pool broke and was rebuilt — the rebuild is an infrastructure
+        # event, it must not consume a task's retry budget.
+        attempt = 0
+        while pending and degraded is None and \
+                attempt < max(retries, 1) + (1 if rebuilt else 0):
+            if attempt:
+                time.sleep(faults.backoff_delay(attempt - 1, salt=scope))
+            retry: List[int] = []
+            broken: Optional[BaseException] = None
+            timed_out = False
+            try:
+                if executor is None:
+                    executor = open_pool(len(pending))
+                submitted: Dict[int, concurrent.futures.Future] = {}
+                for index in pending:
+                    fault = plan.fault_for(index, attempt, scope=scope) \
+                        if plan else None
+                    submitted[index] = executor.submit(
+                        _run_task, function, tasks[index], fault, index)
+            except concurrent.futures.process.BrokenProcessPool as error:
+                # A worker died during spawn/submission.
+                broken, retry = error, pending
+            except OSError as error:
+                # Pool infrastructure unavailable: worker processes
+                # spawn lazily inside ``submit``, so a sandbox that
+                # blocks process creation surfaces here.  A task's own
+                # OSError surfaces from future.result() below instead.
+                retire()
+                degraded = f"pool unavailable: {error}"
+                break
+            else:
+                for index in pending:
+                    future = submitted[index]
+                    try:
+                        value = future.result(timeout=timeout)
+                    except concurrent.futures.TimeoutError:
+                        if future.done():
+                            raise    # the task itself raised TimeoutError
+                        timed_out = True
+                        log.event(_LOG, f"{scope}.task_timeout",
+                                  task=index, attempt=attempt,
+                                  timeout_s=timeout)
+                        retry.append(index)
+                        continue
+                    except concurrent.futures.process.BrokenProcessPool \
+                            as error:
+                        broken = error
+                        retry.append(index)
+                        continue
+                    if _is_corrupt(value, validate, index):
+                        log.event(_LOG, f"{scope}.task_corrupt",
+                                  task=index, attempt=attempt)
+                        retry.append(index)
+                        continue
+                    results[index] = value
+            pending = retry
+
+            if broken is not None:
+                retire()         # workers are dead; the join is instant
+                log.event(_LOG, f"{scope}.pool_broken", error=str(broken),
+                          attempt=attempt, pending=len(pending))
+                if rebuilt:
+                    degraded = "pool broke twice"
+                else:
+                    rebuilt = True
+                    log.event(_LOG, f"{scope}.pool_rebuild",
+                              level=logging.INFO, pending=len(pending))
+            elif timed_out:
+                # The pool still holds the hung worker: retire it without
+                # joining; the next attempt (or the next call) respawns.
+                retire(wait=False)
+            attempt += 1
+    finally:
+        if not shared:
+            retire()
+
+    if degraded is not None:
+        log.event(_LOG, f"{scope}.degraded_sequential", reason=degraded,
+                  pending=len(pending))
+    for index in pending:
+        if degraded is None:
+            log.event(_LOG, f"{scope}.task_inprocess", level=logging.INFO,
+                      task=index)
+        results[index] = function(payload, *tasks[index])
+    return results
 
 
 def map_chunks(function: Callable, payload: tuple,
@@ -171,7 +292,8 @@ def map_chunks(function: Callable, payload: tuple,
     With a resolved width of 1 (or a single task) the calls run in this
     process against ``payload`` directly — the sequential path shares
     the exact code the workers execute, and is also the final-attempt
-    backstop for every fault below.
+    backstop for every fault below.  Wider runs go through
+    :func:`_run_pooled` on the persistent pool.
 
     Fault handling (per task; completed tasks never re-execute):
 
@@ -199,102 +321,7 @@ def map_chunks(function: Callable, payload: tuple,
     count = resolve_workers(len(tasks), workers)
     if count <= 1 or len(tasks) <= 1:
         return [function(payload, *args) for args in tasks]
-    timeout = faults.detect_task_timeout(timeout)
-    retries = faults.detect_retries(retries)
-    plan = faults.active_plan()
-
-    results: List = [_UNSET] * len(tasks)
-    pending = list(range(len(tasks)))
-    rebuilt = False
-    degraded: Optional[str] = None
-
-    # max(retries, 1) pooled rounds, plus one bonus round when the pool
-    # broke and was rebuilt — the rebuild is an infrastructure event,
-    # it must not consume a task's retry budget.
-    attempt = 0
-    while pending and degraded is None and \
-            attempt < max(retries, 1) + (1 if rebuilt else 0):
-        if attempt:
-            time.sleep(faults.backoff_delay(attempt - 1, salt="frame_pool"))
-        try:
-            executor = get_pool(payload, count)
-            submitted: Dict[int, concurrent.futures.Future] = {}
-            for index in pending:
-                fault = plan.fault_for(index, attempt, scope="frame_pool") \
-                    if plan else None
-                submitted[index] = executor.submit(
-                    _run_task, function, tasks[index], fault, index)
-        except concurrent.futures.process.BrokenProcessPool as error:
-            # A worker died during spawn/submission.
-            shutdown_pool()
-            log.event(_LOG, "frame_pool.pool_broken", error=str(error),
-                      attempt=attempt, pending=len(pending))
-            if rebuilt:
-                degraded = "pool broke twice"
-                break
-            rebuilt = True
-            log.event(_LOG, "frame_pool.pool_rebuild",
-                      level=logging.INFO, pending=len(pending))
-            attempt += 1
-            continue
-        except OSError as error:
-            # Pool infrastructure unavailable (spawn/submit failed,
-            # e.g. a sandbox without process creation).  A chunk's own
-            # OSError surfaces from future.result() below instead.
-            shutdown_pool()
-            degraded = f"pool unavailable: {error}"
-            break
-
-        retry: List[int] = []
-        broken: Optional[BaseException] = None
-        timed_out = False
-        for index in pending:
-            future = submitted[index]
-            try:
-                value = future.result(timeout=timeout)
-            except concurrent.futures.TimeoutError:
-                if future.done():
-                    raise        # the chunk itself raised TimeoutError
-                timed_out = True
-                log.event(_LOG, "frame_pool.task_timeout", task=index,
-                          attempt=attempt, timeout_s=timeout)
-                retry.append(index)
-                continue
-            except concurrent.futures.process.BrokenProcessPool as error:
-                broken = error
-                retry.append(index)
-                continue
-            if _is_corrupt(value, validate, index):
-                log.event(_LOG, "frame_pool.task_corrupt", task=index,
-                          attempt=attempt)
-                retry.append(index)
-                continue
-            results[index] = value
-        pending = retry
-
-        if broken is not None:
-            shutdown_pool()      # workers are dead; the join is instant
-            log.event(_LOG, "frame_pool.pool_broken", error=str(broken),
-                      attempt=attempt, pending=len(pending))
-            if rebuilt:
-                degraded = "pool broke twice"
-            else:
-                rebuilt = True
-                log.event(_LOG, "frame_pool.pool_rebuild",
-                          level=logging.INFO, pending=len(pending))
-        elif timed_out:
-            # The pool still holds the hung worker: retire it without
-            # joining; the next attempt (or the next call) respawns.
-            _retire_pool_nowait()
-        attempt += 1
-
-    if degraded is not None:
-        log.event(_LOG, "frame_pool.degraded_sequential", reason=degraded,
-                  pending=len(pending))
-    if pending:
-        for index in pending:
-            if degraded is None:
-                log.event(_LOG, "frame_pool.task_inprocess",
-                          level=logging.INFO, task=index)
-            results[index] = function(payload, *tasks[index])
-    return results
+    return _run_pooled("frame_pool", function, payload, tasks,
+                       lambda pending: get_pool(payload, count),
+                       shared=True, timeout=timeout, retries=retries,
+                       validate=validate)

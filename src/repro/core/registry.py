@@ -8,7 +8,7 @@ Every experiment is a registered, declarative object with four hooks —
 * ``units(ctx, params, shared)`` -> a picklable ``(function, kwargs)``
   task list, fanned out over :func:`repro.core.run_variants`;
 * ``reduce(results, params)``    -> the experiment's row structure
-  (what the legacy ``run_*`` functions returned);
+  (``ExperimentResult.rows``);
 * ``render(rows, params)``       -> the committed artefact text under
   ``benchmarks/results/`` — byte-identical to the historical
   harness output.

@@ -10,33 +10,29 @@ and therefore the committed figure/table artefacts — are byte-identical
 whether the units run in one process or many.
 
 Fault tolerance (see :mod:`repro.core.faults` and
-``docs/robustness.md``): like :func:`repro.core.frame_pool.map_chunks`,
-every unit gets a per-task timeout (``REPRO_TASK_TIMEOUT``) and a
-bounded retry budget (``REPRO_RETRIES``); a crashed worker
+``docs/robustness.md``): the pooled attempts run through the same loop
+as :func:`repro.core.frame_pool.map_chunks`
+(``repro.core.frame_pool._run_pooled``), on a pool that lives for one
+call.  Every unit gets a per-task timeout (``REPRO_TASK_TIMEOUT``) and
+a bounded retry budget (``REPRO_RETRIES``); a crashed worker
 (``BrokenProcessPool``) re-executes only the unfinished units on a pool
 rebuilt once before the run degrades to sequential, a hung unit is
 retried on a fresh pool, and the final attempt for any unit always
 runs in-process.  All fallbacks/retries emit structured
-:mod:`repro.core.log` events.  An exception raised *by a unit*
-propagates unchanged in every mode — retries are for infrastructure
-faults only.
+:mod:`repro.core.log` events named ``run_variants.*``.  An exception
+raised *by a unit* propagates unchanged in every mode — retries are
+for infrastructure faults only.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import logging
 import os
-import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from . import faults, log
+from . import faults
 
 POOL_WORKER_ENV = "REPRO_POOL_WORKER"
-
-_LOG = log.get_logger("runner")
-
-_UNSET = object()
 
 
 def in_pool_worker() -> bool:
@@ -52,17 +48,6 @@ def mark_pool_worker() -> None:
     os.environ[POOL_WORKER_ENV] = "1"
 
 
-def _parse_worker_count(value, source: str) -> Optional[int]:
-    """Best-effort integer parse; ``None`` (with a structured warning)
-    on non-numeric input, so a typo'd knob degrades to autodetection
-    instead of crashing an hours-long harness run."""
-    try:
-        return int(str(value).strip())
-    except (TypeError, ValueError):
-        log.event(_LOG, "knob.ignored", knob=source, value=value)
-        return None
-
-
 def detect_workers(num_tasks: int, workers: Optional[int] = None) -> int:
     """Resolve the worker count for :func:`run_variants`.
 
@@ -70,30 +55,22 @@ def detect_workers(num_tasks: int, workers: Optional[int] = None) -> int:
     environment variable, then ``os.cpu_count()``; always clamped to
     ``[1, num_tasks]``.  On a single-core host this returns 1 and the
     runner stays in-process.  Malformed values fall back cleanly
-    instead of raising: empty/whitespace values are skipped, a
-    non-numeric argument or env value degrades to the next source with
-    a warning, and any non-positive numeric value — argument or env —
-    clamps to 1, forcing the sequential path (never a silent upgrade
-    to full parallelism).
+    instead of raising (:func:`repro.core.faults.resolve_knob`):
+    empty/whitespace values are skipped, a non-numeric argument or env
+    value degrades to the next source with a warning, and any
+    non-positive numeric value — argument or env — clamps to 1, forcing
+    the sequential path (never a silent upgrade to full parallelism).
     """
-    if workers is not None:
-        workers = _parse_worker_count(workers, "workers")
-    if workers is None:
-        env = os.environ.get("REPRO_WORKERS")
-        if env is not None and env.strip():
-            workers = _parse_worker_count(env, "REPRO_WORKERS")
+    workers = faults.resolve_knob(workers, "workers", "REPRO_WORKERS", int,
+                                  None)
     if workers is None:
         workers = os.cpu_count() or 1
     return max(1, min(workers, max(int(num_tasks), 1)))
 
 
-def _run_unit(function: Callable, kwargs: Dict,
-              fault: Optional[faults.FaultSpec] = None,
-              task_index: int = -1):
-    if fault is not None:
-        injected = faults.apply_worker_fault(fault, task_index)
-        if injected is not None:
-            return injected
+def _call_unit(_payload, function: Callable, kwargs: Dict):
+    """A variant unit as a pooled task (``run_variants`` ships no
+    payload)."""
     return function(**kwargs)
 
 
@@ -115,7 +92,7 @@ def run_variants(tasks: Sequence[Tuple[Callable, Dict]],
     sharding (:mod:`repro.core.frame_pool`) from nesting a second pool
     under this one.
 
-    Fault handling mirrors :func:`repro.core.frame_pool.map_chunks`:
+    Fault handling is :func:`repro.core.frame_pool.map_chunks`'s:
     per-unit ``timeout`` (else ``REPRO_TASK_TIMEOUT``, else off) and
     bounded ``retries`` (else ``REPRO_RETRIES``, default 1); crashed
     workers re-execute only their units on a pool rebuilt once before
@@ -129,123 +106,11 @@ def run_variants(tasks: Sequence[Tuple[Callable, Dict]],
     count = detect_workers(len(tasks), workers)
     if count <= 1 or len(tasks) <= 1:
         return [function(**kwargs) for function, kwargs in tasks]
-    timeout = faults.detect_task_timeout(timeout)
-    retries = faults.detect_retries(retries)
-    plan = faults.active_plan()
+    # Imported here: frame_pool imports this module's worker helpers.
+    from .frame_pool import _run_pooled
 
-    results: List = [_UNSET] * len(tasks)
-    pending = list(range(len(tasks)))
-    rebuilt = False
-    degraded: Optional[str] = None
-    executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
-
-    try:
-        # max(retries, 1) pooled rounds, plus one bonus round when the
-        # pool broke and was rebuilt — the rebuild is an infrastructure
-        # event, it must not consume a task's retry budget.
-        attempt = 0
-        while pending and degraded is None and \
-                attempt < max(retries, 1) + (1 if rebuilt else 0):
-            if attempt:
-                time.sleep(faults.backoff_delay(attempt - 1,
-                                                salt="run_variants"))
-            try:
-                if executor is None:
-                    executor = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=min(count, len(pending)),
-                        initializer=mark_pool_worker)
-                submitted = {}
-                for index in pending:
-                    fault = plan.fault_for(index, attempt,
-                                           scope="run_variants") \
-                        if plan else None
-                    function, kwargs = tasks[index]
-                    submitted[index] = executor.submit(
-                        _run_unit, function, kwargs, fault, index)
-            except concurrent.futures.process.BrokenProcessPool as error:
-                # A worker died during spawn/submission.
-                executor.shutdown(cancel_futures=True)
-                executor = None
-                log.event(_LOG, "run_variants.pool_broken",
-                          error=str(error), attempt=attempt,
-                          pending=len(pending))
-                if rebuilt:
-                    degraded = "pool broke twice"
-                    break
-                rebuilt = True
-                log.event(_LOG, "run_variants.pool_rebuild",
-                          level=logging.INFO, pending=len(pending))
-                attempt += 1
-                continue
-            except OSError as error:
-                # Pool infrastructure unavailable: worker processes
-                # spawn lazily inside ``submit``, so a sandbox that
-                # blocks process creation surfaces here, not in the
-                # constructor.  A unit's own OSError surfaces from
-                # future.result() below instead and propagates.
-                executor = None
-                degraded = f"pool unavailable: {error}"
-                break
-
-            retry: List[int] = []
-            broken: Optional[BaseException] = None
-            timed_out = False
-            for index in pending:
-                future = submitted[index]
-                try:
-                    value = future.result(timeout=timeout)
-                except concurrent.futures.TimeoutError:
-                    if future.done():
-                        raise    # the unit itself raised TimeoutError
-                    timed_out = True
-                    log.event(_LOG, "run_variants.task_timeout",
-                              task=index, attempt=attempt,
-                              timeout_s=timeout)
-                    retry.append(index)
-                    continue
-                except concurrent.futures.process.BrokenProcessPool \
-                        as error:
-                    broken = error
-                    retry.append(index)
-                    continue
-                if isinstance(value, faults.CorruptResult):
-                    log.event(_LOG, "run_variants.task_corrupt",
-                              task=index, attempt=attempt)
-                    retry.append(index)
-                    continue
-                results[index] = value
-            pending = retry
-
-            if broken is not None:
-                executor.shutdown(cancel_futures=True)   # workers dead
-                executor = None
-                log.event(_LOG, "run_variants.pool_broken",
-                          error=str(broken), attempt=attempt,
-                          pending=len(pending))
-                if rebuilt:
-                    degraded = "pool broke twice"
-                else:
-                    rebuilt = True
-                    log.event(_LOG, "run_variants.pool_rebuild",
-                              level=logging.INFO, pending=len(pending))
-            elif timed_out:
-                # The pool still holds a hung worker: abandon it
-                # without joining; a fresh pool spawns next attempt.
-                executor.shutdown(wait=False, cancel_futures=True)
-                executor = None
-            attempt += 1
-    finally:
-        if executor is not None:
-            executor.shutdown(cancel_futures=True)
-
-    if degraded is not None:
-        log.event(_LOG, "run_variants.degraded_sequential",
-                  reason=degraded, pending=len(pending))
-    if pending:
-        for index in pending:
-            if degraded is None:
-                log.event(_LOG, "run_variants.task_inprocess",
-                          level=logging.INFO, task=index)
-            function, kwargs = tasks[index]
-            results[index] = function(**kwargs)
-    return results
+    return _run_pooled(
+        "run_variants", _call_unit, None, tasks,
+        lambda pending: concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(count, pending), initializer=mark_pool_worker),
+        shared=False, timeout=timeout, retries=retries)

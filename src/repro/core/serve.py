@@ -92,15 +92,8 @@ _UNRESOLVED = object()        # "cache unspecified" sentinel (see context)
 # Env knobs (lenient, like REPRO_WORKERS / REPRO_RETRIES)
 # ----------------------------------------------------------------------
 def _detect_knob(value, env: str, default: int, floor: int) -> int:
-    if value is not None:
-        value = faults._parse_number(value, env.lower(), int)
-    if value is None:
-        env_value = os.environ.get(env)
-        if env_value is not None and env_value.strip():
-            value = faults._parse_number(env_value, env, int)
-    if value is None:
-        value = default
-    return max(int(value), floor)
+    return max(faults.resolve_knob(value, env.lower(), env, int, default),
+               floor)
 
 
 def detect_batch_window(window=None) -> int:
@@ -1159,11 +1152,12 @@ def run_daemon(config: Optional[ServeConfig] = None, input_stream=None,
     ``input_stream``, JSON-lines responses on ``output_stream``.
 
     Wall time exists *only* here: each scheduler tick corresponds to
-    one ``tick_s`` select window on stdin (falling back to
-    one-tick-per-line iteration for streams without a selectable file
-    descriptor, e.g. tests feeding a StringIO).  The scheduler itself
-    stays on its virtual clock.  EOF drains the queue and returns the
-    final stats row.
+    one ``tick_s`` select window on stdin's descriptor, and every
+    complete line that has arrived is handled before the next select
+    (falling back to one-tick-per-line iteration for streams without a
+    selectable file descriptor, e.g. tests feeding a StringIO).  The
+    scheduler itself stays on its virtual clock.  EOF drains the queue
+    and returns the final stats row.
     """
     import sys
 
@@ -1211,27 +1205,31 @@ def run_daemon(config: Optional[ServeConfig] = None, input_stream=None,
             scheduler.emit_stats(tick)
         tick += 1
 
-    selectable = hasattr(input_stream, "fileno")
-    if selectable:
-        try:
-            input_stream.fileno()
-        except (OSError, ValueError):
-            selectable = False
-    if selectable:
+    try:
+        fd = input_stream.fileno()
+    except (AttributeError, OSError, ValueError):
+        fd = None                 # not selectable, e.g. a StringIO
+    if fd is not None:
         import select
+        encoding = getattr(input_stream, "encoding", None) or "utf-8"
+        tail = b""
         eof = False
         while not (eof and scheduler.idle):
-            if not eof:
-                ready, _, _ = select.select([input_stream], [], [],
-                                            tick_s)
-            else:
-                ready = []
+            ready = [] if eof else select.select([fd], [], [], tick_s)[0]
             if ready:
-                line = input_stream.readline()
-                if line == "":
-                    eof = True
+                # Read the descriptor, not the stream: a buffered
+                # readline() pulls every line of this pipe read into
+                # Python's buffer but returns one, and select cannot see
+                # the rest.  Handle every complete line now; keep the
+                # partial one for the next read.
+                data = os.read(fd, 1 << 16)
+                if data:
+                    *lines, tail = (tail + data).split(b"\n")
                 else:
-                    handle_line(line)
+                    eof, lines, tail = True, [tail], b""
+                for line in lines:
+                    handle_line(line.decode(encoding, "replace"))
+                if not eof:
                     continue
             advance()
     else:

@@ -35,27 +35,22 @@ Bit-exactness is the contract, and it rests on three legs:
   planner's ``2 * n_out < dense_rows`` guard per layer is what makes
   the shared compaction rule always fire on both sides.
 
-The knob mirrors ``REPRO_SPARSE``: on by default, lenient parsing, CLI
-``--footprint/--no-footprint`` exports it to pool workers.
+The knob mirrors ``REPRO_SPARSE`` and shares its parser: on by default,
+lenient parsing, CLI ``--footprint/--no-footprint`` exports it to pool
+workers.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .ibrnet import _SGEMM_KERNEL_SWITCH_CELLS
+from .sparse import flag_enabled, parse_sparse_flag
 
 FOOTPRINT_ENV = "REPRO_FOOTPRINT"
-
-_TRUE_WORDS = frozenset({"1", "true", "yes", "on"})
-_FALSE_WORDS = frozenset({"0", "false", "no", "off"})
-
-_LOG = logging.getLogger("repro.models.footprint")
 
 # Process-wide counters, mirroring ``ibrnet.PACK_STATS``: how many
 # training encodes ran footprint-restricted vs fell back to the dense
@@ -65,19 +60,9 @@ FOOTPRINT_STATS = {"footprint": 0, "dense": 0}
 
 def parse_footprint_flag(value, source: str = FOOTPRINT_ENV
                          ) -> Optional[bool]:
-    """Best-effort boolean parse; ``None`` (with a structured warning)
-    on malformed input, so a typo'd knob degrades to the default."""
-    text = str(value).strip().lower()
-    if text in _TRUE_WORDS:
-        return True
-    if text in _FALSE_WORDS:
-        return False
-    # Imported lazily for the same package-init cycle reason as
-    # :mod:`repro.models.sparse`.
-    from ..core import log
-    log.event(_LOG, "knob.ignored", level=logging.WARNING,
-              knob=source, value=value)
-    return None
+    """:func:`repro.models.sparse.parse_sparse_flag`, reporting
+    malformed values as ``REPRO_FOOTPRINT``."""
+    return parse_sparse_flag(value, source)
 
 
 def footprint_enabled(override: Optional[bool] = None) -> bool:
@@ -85,17 +70,10 @@ def footprint_enabled(override: Optional[bool] = None) -> bool:
 
     Priority: explicit argument (``Trainer(..., footprint=...)`` or the
     CLI's ``--footprint/--no-footprint``), then the ``REPRO_FOOTPRINT``
-    env knob, then the default (on).  Empty/whitespace env values are
-    skipped; malformed values warn and fall through.
+    env knob, then the default (on); see
+    :func:`repro.models.sparse.flag_enabled`.
     """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get(FOOTPRINT_ENV)
-    if env is not None and env.strip():
-        parsed = parse_footprint_flag(env)
-        if parsed is not None:
-            return parsed
-    return True
+    return flag_enabled(FOOTPRINT_ENV, override)
 
 
 @dataclass

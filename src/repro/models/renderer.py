@@ -44,7 +44,6 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .. import nn
-from ..core import frame_pool
 from ..geometry.rays import (RayBundle, image_shape_for_step, rays_for_image,
                              stratified_depths)
 from ..scenes.datasets import Scene
@@ -186,6 +185,10 @@ def render_source_views(scene: Scene, num_points: int = 128,
     slices = _chunk_slices(len(combined), chunk)
     state = (scene.field, combined, num_points,
              scene.spec.white_background)
+    # Imported lazily, like every ``repro.core`` import in this package:
+    # core's package init imports ``repro.hardware``, which imports
+    # ``repro.models``.
+    from ..core import frame_pool
     results = frame_pool.map_chunks(_source_view_chunk, state, slices,
                                     workers)
     pixels = np.zeros((len(combined), 3), dtype=np.float64)
@@ -239,6 +242,7 @@ def render_image_ibrnet(model: GeneralizableNeRF, scene: Scene,
              for start, stop in slices]
     state = (model, bundle, tuple(scene.source_cameras), source_images,
              feature_maps, num_points, coarse_points, hierarchical)
+    from ..core import frame_pool    # lazily, see render_source_views
     results = frame_pool.map_chunks(_ibrnet_chunk, state, tasks, workers)
     out = np.zeros((len(bundle), 3), dtype=np.float64)
     for (start, stop), pixel in zip(slices, results):
@@ -280,6 +284,7 @@ def render_image_gen_nerf(model: GenNeRF, scene: Scene,
     slices = _chunk_slices(len(bundle), chunk)
     state = (model, bundle, tuple(scene.source_cameras), coarse_maps,
              fine_maps, source_images)
+    from ..core import frame_pool    # lazily, see render_source_views
     results = frame_pool.map_chunks(_gen_nerf_chunk, state, slices, workers)
     out = np.zeros((len(bundle), 3), dtype=np.float64)
     total_points = 0

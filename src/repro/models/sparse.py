@@ -11,7 +11,9 @@ the kernel-regime model the packing relies on.
 Parsing is lenient, like every other ``REPRO_*`` knob (see
 :mod:`repro.core.faults`): a malformed value warns through the
 structured log and falls back to the default instead of crashing a
-long render.
+long render.  :func:`parse_sparse_flag` and :func:`flag_enabled` serve
+the other boolean knob, ``REPRO_FOOTPRINT``
+(:mod:`repro.models.footprint`), too.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ _LOG = logging.getLogger("repro.models.sparse")
 
 
 def parse_sparse_flag(value, source: str = SPARSE_ENV) -> Optional[bool]:
-    """Best-effort boolean parse; ``None`` (with a structured warning)
-    on malformed input, so a typo'd knob degrades to the default."""
+    """Best-effort boolean parse; ``None`` (with a structured warning
+    naming ``source``) on malformed input, so a typo'd knob degrades to
+    the default.  The parser for every boolean ``REPRO_*`` knob."""
     text = str(value).strip().lower()
     if text in _TRUE_WORDS:
         return True
@@ -46,19 +49,25 @@ def parse_sparse_flag(value, source: str = SPARSE_ENV) -> Optional[bool]:
     return None
 
 
+def flag_enabled(env: str, override: Optional[bool] = None) -> bool:
+    """Resolve a default-on boolean knob: explicit ``override``, then
+    the ``env`` variable, then on.  Empty/whitespace env values are
+    skipped; malformed values warn and fall through."""
+    if override is not None:
+        return bool(override)
+    value = os.environ.get(env)
+    if value is not None and value.strip():
+        parsed = parse_sparse_flag(value, env)
+        if parsed is not None:
+            return parsed
+    return True
+
+
 def sparse_enabled(override: Optional[bool] = None) -> bool:
     """Resolve the sparse fine-pass switch.
 
     Priority: explicit argument (``forward(..., sparse=...)`` or the
     CLI's ``--sparse/--no-sparse``), then the ``REPRO_SPARSE`` env knob,
-    then the default (on).  Empty/whitespace env values are skipped;
-    malformed values warn and fall through.
+    then the default (on); see :func:`flag_enabled`.
     """
-    if override is not None:
-        return bool(override)
-    env = os.environ.get(SPARSE_ENV)
-    if env is not None and env.strip():
-        parsed = parse_sparse_flag(env)
-        if parsed is not None:
-            return parsed
-    return True
+    return flag_enabled(SPARSE_ENV, override)

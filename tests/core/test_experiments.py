@@ -1,31 +1,34 @@
 """Experiment registry smoke tests (fast configurations).
 
 Full paper-scale regeneration lives in ``benchmarks/``; here each
-runner executes with reduced knobs and its output structure is checked.
+registered experiment runs with reduced knobs through
+``get_experiment(name).run(RunContext(...), **overrides)`` and its
+output structure is checked.
 """
 
 import numpy as np
 import pytest
 
 from repro import core
+from repro.core import RunContext, get_experiment
 
 
 class TestCheapRunners:
     def test_table1_rows(self):
-        rows = core.run_table1()
+        rows = get_experiment("table1").run(RunContext()).rows
         assert len(rows) == 5
         names = [row[0] for row in rows]
         assert "Total" in names
 
     def test_fig2_structure(self):
-        results = core.run_fig2()
+        results = get_experiment("fig2").run(RunContext()).rows
         assert set(results) == {"rtx2080ti", "tx2"}
         llff = results["rtx2080ti"]["llff"]
         assert llff["acquire_features"] > 0
         assert llff["total"] >= llff["acquire_features"]
 
     def test_table4_rows(self):
-        rows = core.run_table4()
+        rows = get_experiment("table4").run(RunContext()).rows
         devices = [row["device"] for row in rows]
         assert any("simulated" in d for d in devices)
         assert any("ICARUS" in d for d in devices)
@@ -35,10 +38,10 @@ class TestCheapRunners:
 
 class TestFig9Small:
     def test_curve_structure_and_ordering(self):
-        results = core.run_fig9(datasets=["nerf_synthetic"], step=8,
-                                image_scale=1 / 12,
-                                pairs=((8, 16),),
-                                uniform_points=(24,))
+        results = get_experiment("fig9").run(
+            RunContext(), datasets=("nerf_synthetic",), step=8,
+            image_scale=1 / 12, pairs=((8, 16),),
+            uniform_points=(24,)).rows
         curves = results["nerf_synthetic"]
         gen = curves["gen_nerf"][0]
         ibr = curves["ibrnet"][0]
@@ -49,14 +52,15 @@ class TestFig9Small:
 
 class TestAblationRunners:
     def test_coarse_budget_rows(self):
-        rows = core.run_coarse_budget_ablation(
-            image_scale=1 / 16, step=8, coarse_counts=(8,), taus=(1e-3,),
-            focused=16)
+        rows = get_experiment("ablation_coarse_budget").run(
+            RunContext(), image_scale=1 / 16, step=8, coarse_counts=(8,),
+            taus=(1e-3,), focused=16).rows
         assert len(rows) == 1
         assert rows[0]["psnr"] > 20
 
     def test_patch_candidate_rows(self):
-        rows = core.run_patch_candidate_ablation()
+        rows = get_experiment("ablation_patch_candidates").run(
+            RunContext()).rows
         assert len(rows) >= 3
         assert all(row["fps"] > 0 for row in rows)
 
@@ -64,18 +68,18 @@ class TestAblationRunners:
 @pytest.mark.slow
 class TestTrainingRunners:
     def test_table2_tiny(self):
-        rows = core.run_table2(train_steps=12, eval_step=16,
-                               image_scale=1 / 16, num_points=12,
-                               scenes=("fortress",), num_source_views=4)
+        rows = get_experiment("table2").run(
+            RunContext(), train_steps=12, eval_step=16, image_scale=1 / 16,
+            num_points=12, scenes=("fortress",), num_source_views=4).rows
         methods = [row.method for row in rows]
         assert "vanilla IBRNet" in methods
         assert any("Ray-Mixer" in m for m in methods)
         assert len(rows) == 7
 
     def test_table3_tiny(self):
-        rows = core.run_table3(train_steps=10, finetune_steps=4,
-                               eval_step=16, image_scale=1 / 16,
-                               num_points=10, view_counts=(4,))
+        rows = get_experiment("table3").run(
+            RunContext(), train_steps=10, finetune_steps=4, eval_step=16,
+            image_scale=1 / 16, num_points=10, view_counts=(4,)).rows
         assert len(rows) == 2
         assert all(row.per_scene for row in rows)
 
@@ -225,6 +229,11 @@ class TestParallelFigureHarness:
     whether the variant units run in one process or a pool."""
 
     @staticmethod
+    def _rows(name, workers, **overrides):
+        return get_experiment(name).run(RunContext(workers=workers),
+                                        **overrides).rows
+
+    @staticmethod
     def _as_tuples(rows):
         return [(row.method, row.mflops_per_pixel,
                  sorted(row.per_scene.items())) for row in rows]
@@ -233,23 +242,23 @@ class TestParallelFigureHarness:
         kwargs = dict(train_steps=6, eval_step=16, image_scale=1 / 16,
                       num_points=10, scenes=("fortress",),
                       num_source_views=4)
-        sequential = core.run_table2(workers=1, **kwargs)
-        parallel = core.run_table2(workers=3, **kwargs)
+        sequential = self._rows("table2", 1, **kwargs)
+        parallel = self._rows("table2", 3, **kwargs)
         assert self._as_tuples(sequential) == self._as_tuples(parallel)
 
     def test_table3_rows_identical_across_runners(self):
         kwargs = dict(train_steps=5, finetune_steps=3, eval_step=16,
                       image_scale=1 / 16, num_points=10, view_counts=(4,))
-        sequential = core.run_table3(workers=1, **kwargs)
-        parallel = core.run_table3(workers=2, **kwargs)
+        sequential = self._rows("table3", 1, **kwargs)
+        parallel = self._rows("table3", 2, **kwargs)
         assert self._as_tuples(sequential) == self._as_tuples(parallel)
 
     def test_fig9_curves_identical_across_runners(self):
-        kwargs = dict(datasets=["nerf_synthetic", "llff"], step=16,
+        kwargs = dict(datasets=("nerf_synthetic", "llff"), step=16,
                       image_scale=1 / 16, pairs=((4, 8),),
                       uniform_points=(12,), reference_points=64)
-        sequential = core.run_fig9(workers=1, **kwargs)
-        parallel = core.run_fig9(workers=2, **kwargs)
+        sequential = self._rows("fig9", 1, **kwargs)
+        parallel = self._rows("fig9", 2, **kwargs)
         assert list(sequential) == list(parallel)
         for dataset in sequential:
             for curve in ("gen_nerf", "ibrnet"):
@@ -262,8 +271,8 @@ class TestParallelFigureHarness:
 
     def test_fig11_rows_identical_across_runners(self):
         kwargs = dict(view_counts=(6, 2), point_counts=(96,))
-        sequential = core.run_fig11(workers=1, **kwargs)
-        parallel = core.run_fig11(workers=3, **kwargs)
+        sequential = self._rows("fig11", 1, **kwargs)
+        parallel = self._rows("fig11", 3, **kwargs)
         assert sequential == parallel
         assert [row["num_views"] for row in sequential["views"]] == [6, 2]
         assert [row["points_per_ray"]
