@@ -22,15 +22,13 @@ Design (sans-IO, virtual clock):
   ``max_batch`` rays; a single chunk larger than ``max_batch`` is
   atomic and dispatches alone.
 * **Byte-identity.**  Every response is pinned bitwise-identical to a
-  direct ``render_image_*`` call (``tests/core/test_serve.py``).  Two
-  regimes make that hold: *uniform* quality kinds are per-ray
-  deterministic, so rays from many requests merge into one bundle and
-  re-chunk freely; *hierarchical* and *gen_nerf* kinds are chunk-
-  geometry-dependent (per-chunk rng reseeds / budget redistribution),
-  so the scheduler decomposes each request into **exactly** the chunk
-  tasks the direct renderer would run — chunks are pure functions of
-  their slice — and coalesces whole chunks across requests into shared
-  pool dispatches instead.
+  direct ``render_image_*`` call (``tests/core/test_serve.py``).  Each
+  request decomposes into **exactly** the chunk tasks the direct
+  renderer would run (chunks are pure functions of their slice), and a
+  dispatch runs a group's chunks as *runs*, one model call each: one
+  chunk or, on a ``mergeable`` tier, consecutive chunks whose merged
+  call fits one renderer chunk and keeps every GEMM inside each
+  member's bitwise row interval (:func:`repro.nn.regime.batch_interval`).
 * **Scene reuse.**  A :class:`SceneStore` LRU holds prepared
   :class:`repro.models.SceneData` (bounded by ``scene_capacity``; disk
   reuse through :mod:`repro.core.scene_cache` under the shared
@@ -70,6 +68,7 @@ import numpy as np
 
 from .. import models as M
 from ..geometry.rays import RayBundle, image_shape_for_step, rays_for_image
+from ..nn import regime
 from ..scenes.datasets import make_scene
 from . import faults, frame_pool, log
 from .reporting import format_table
@@ -424,8 +423,8 @@ class ServeConfig:
 
 
 # ----------------------------------------------------------------------
-# Pool chunk functions (module-level, picklable).  Each rebuilds the
-# chunk's sub-bundle from the task's ray arrays and delegates to the
+# Pool chunk functions (module-level, picklable).  Each rebuilds one
+# run's bundle from the task's ray arrays and delegates to the
 # *renderer's own* chunk body over the identity slice — sharing the
 # direct path's code is what makes byte-identity structural rather
 # than coincidental.  The renderer import is deferred: renderer.py
@@ -438,20 +437,15 @@ def _renderer():
     return renderer
 
 
-def _uniform_batch_chunk(state, origins, directions) -> np.ndarray:
-    model, cameras, src, maps, num_points, near, far = state
-    bundle = RayBundle(origins, directions, near, far)
-    return _renderer()._ibrnet_chunk(
-        (model, bundle, cameras, src, maps, num_points,
-         num_points, False), 0, len(bundle), None)
-
-
-def _hier_batch_chunk(state, origins, directions, uniforms) -> np.ndarray:
+def _ibrnet_batch_chunk(state, origins, directions,
+                        uniforms=None) -> np.ndarray:
+    """One IBRNet run; ``uniforms`` (the chunk's pre-drawn fine-depth
+    draws) selects the hierarchical path."""
     model, cameras, src, maps, num_points, coarse_points, near, far = state
     bundle = RayBundle(origins, directions, near, far)
     return _renderer()._ibrnet_chunk(
-        (model, bundle, cameras, src, maps, num_points,
-         coarse_points, True), 0, len(bundle), uniforms)
+        (model, bundle, cameras, src, maps, num_points, coarse_points,
+         uniforms is not None), 0, len(bundle), uniforms)
 
 
 def _gen_nerf_batch_chunk(state, origins, directions
@@ -463,9 +457,48 @@ def _gen_nerf_batch_chunk(state, origins, directions
          src), 0, len(bundle))
 
 
-_CHUNK_FUNCTIONS = {"uniform": _uniform_batch_chunk,
-                    "hierarchical": _hier_batch_chunk,
+_CHUNK_FUNCTIONS = {"uniform": _ibrnet_batch_chunk,
+                    "hierarchical": _ibrnet_batch_chunk,
                     "gen_nerf": _gen_nerf_batch_chunk}
+
+
+def _run_task(run: list) -> tuple:
+    """One run's chunk-function arguments: its chunks' rays in order,
+    plus their pre-drawn uniforms on the hierarchical tier."""
+    parts = [(state.bundle, state.chunks[index]) for state, index in run]
+    origins = np.concatenate([bundle.origins[chunk.start:chunk.stop]
+                              for bundle, chunk in parts])
+    directions = np.concatenate([bundle.directions[chunk.start:chunk.stop]
+                                 for bundle, chunk in parts])
+    if parts[0][1].uniforms is None:
+        return origins, directions
+    return origins, directions, np.concatenate(
+        [chunk.uniforms for _, chunk in parts])
+
+
+def _runs(spec: QualitySpec, model, views: int, items: list) -> list:
+    """Split a group's chunks, in order, into runs of one model call:
+    one chunk or, on a mergeable tier, consecutive chunks that share a
+    :func:`repro.nn.regime.batch_interval` for the forward pass's GEMMs
+    and whose merged call stays inside it and fits one renderer chunk."""
+    if not spec.mergeable:
+        return [[item] for item in items]
+    shapes = model.gemm_shapes(views, spec.num_points)
+    runs, run_interval, run_rays = [], None, 0
+    for state, index in items:
+        rays = state.chunks[index].rays
+        interval = regime.batch_interval(shapes, rays)
+        total = run_rays + rays
+        if interval is not None and interval == run_interval \
+                and (interval[1] is None or total <= interval[1]) \
+                and _renderer().adaptive_chunk(
+                    total, views, spec.num_points) >= total:
+            runs[-1].append((state, index))
+            run_rays = total
+        else:
+            runs.append([(state, index)])
+            run_interval, run_rays = interval, rays
+    return runs
 
 
 # ----------------------------------------------------------------------
@@ -601,10 +634,8 @@ class RenderScheduler:
         if spec.kind == "gen_nerf":
             model = self.model_for(request.quality)
             points = model.config.coarse_points + model.config.n_max
-        elif spec.kind == "hierarchical":
-            points = spec.num_points + spec.coarse_points
         else:
-            points = spec.num_points
+            points = spec.num_points + spec.coarse_points
         chunk = _renderer().adaptive_chunk(len(bundle), views, points,
                                            request.chunk)
         slices = _renderer()._chunk_slices(len(bundle), chunk)
@@ -712,16 +743,13 @@ class RenderScheduler:
         cameras = tuple(scene.source_cameras)
         src = prepared.data.source_images
         maps = prepared.data.encoded_maps(model)
-        if spec.kind == "uniform":
-            state = (model, cameras, src, maps, spec.num_points,
-                     scene.near, scene.far)
-        elif spec.kind == "hierarchical":
-            state = (model, cameras, src, maps, spec.num_points,
-                     spec.coarse_points, scene.near, scene.far)
-        else:
+        if spec.kind == "gen_nerf":
             coarse_maps, fine_maps = maps
             state = (model, cameras, coarse_maps, fine_maps, src,
                      scene.near, scene.far)
+        else:
+            state = (model, cameras, src, maps, spec.num_points,
+                     spec.coarse_points, scene.near, scene.far)
         # Drop payloads whose scene the LRU evicted, so the cache never
         # pins memory the store already decided to release.
         live = {id(entry) for entry in self.store._entries.values()}
@@ -734,8 +762,9 @@ class RenderScheduler:
     def _execute(self, entries: List[Tuple[_RequestState, int]],
                  tick: int) -> None:
         """Run one assembled batch: quarantine poisoned requests, then
-        coalesce the surviving chunks group by group into shared pool
-        dispatches and scatter results back per request."""
+        split each group's surviving chunks into runs, dispatch a
+        group's runs through one shared pool call, and scatter the
+        results back per request."""
         plan = faults.active_plan()
         live: List[Tuple[_RequestState, int]] = []
         for state, chunk_index in entries:
@@ -781,74 +810,27 @@ class RenderScheduler:
             prepared = self.store.get(group_key[:-1])
             model = self.model_for(group_key[-1])
             payload = self._payload_for(group_key, prepared, spec, model)
-            if spec.mergeable and len(items) > 1:
-                self._execute_merged(payload, items)
-            else:
-                self._execute_chunkwise(payload, spec, items)
+            runs = _runs(spec, model, len(prepared.scene.source_cameras),
+                         items)
+            results = frame_pool.map_chunks(
+                _CHUNK_FUNCTIONS[spec.kind], payload,
+                [_run_task(run) for run in runs], self.config.workers)
+            for run, pixels in zip(runs, results):
+                if spec.kind == "gen_nerf":
+                    pixels, points = pixels
+                    run[0][0].focused_points += int(points)
+                offset = 0
+                for state, index in run:
+                    chunk = state.chunks[index]
+                    state.out[chunk.start:chunk.stop] = \
+                        pixels[offset:offset + chunk.rays]
+                    offset += chunk.rays
+                    state.done_chunks += 1
+                if len(run) > 1:
+                    self.counters["merged_rays"] += offset
         for state, _ in live:
             if state.first_dispatch_tick is None:
                 state.first_dispatch_tick = tick
-
-    def _execute_merged(self, payload: tuple,
-                        items: List[Tuple[_RequestState, int]]) -> None:
-        """Uniform-kind cross-request ray merging: concatenate the
-        chunks' rays into one bundle, re-chunk adaptively, and scatter
-        rows back by offset — bitwise-safe because the uniform forward
-        is per-ray deterministic (pinned in the byte-identity suite)."""
-        model, cameras, src, maps, num_points, near, far = payload
-        origins = np.concatenate(
-            [state.bundle.origins[state.chunks[i].start:
-                                  state.chunks[i].stop]
-             for state, i in items], axis=0)
-        directions = np.concatenate(
-            [state.bundle.directions[state.chunks[i].start:
-                                     state.chunks[i].stop]
-             for state, i in items], axis=0)
-        views = len(cameras)
-        merged_chunk = _renderer().adaptive_chunk(len(origins), views,
-                                                  num_points)
-        slices = _renderer()._chunk_slices(len(origins), merged_chunk)
-        tasks = [(origins[start:stop], directions[start:stop])
-                 for start, stop in slices]
-        results = frame_pool.map_chunks(_uniform_batch_chunk, payload,
-                                        tasks, self.config.workers)
-        flat = np.concatenate(results, axis=0)
-        self.counters["merged_rays"] += len(origins)
-        offset = 0
-        for state, i in items:
-            chunk = state.chunks[i]
-            state.out[chunk.start:chunk.stop] = \
-                flat[offset:offset + chunk.rays]
-            offset += chunk.rays
-            state.done_chunks += 1
-
-    def _execute_chunkwise(self, payload: tuple, spec: QualitySpec,
-                           items: List[Tuple[_RequestState, int]]) -> None:
-        """Chunk-preserving coalescing: every task is exactly one chunk
-        of a request's direct render (its own slice geometry and, for
-        hierarchical, its pre-drawn uniforms), so many requests share
-        one pool dispatch without perturbing any request's numerics."""
-        tasks = []
-        for state, i in items:
-            chunk = state.chunks[i]
-            origins = state.bundle.origins[chunk.start:chunk.stop]
-            directions = state.bundle.directions[chunk.start:chunk.stop]
-            if spec.kind == "hierarchical":
-                tasks.append((origins, directions, chunk.uniforms))
-            else:
-                tasks.append((origins, directions))
-        results = frame_pool.map_chunks(_CHUNK_FUNCTIONS[spec.kind],
-                                        payload, tasks,
-                                        self.config.workers)
-        for (state, i), result in zip(items, results):
-            chunk = state.chunks[i]
-            if spec.kind == "gen_nerf":
-                pixels, points = result
-                state.focused_points += int(points)
-            else:
-                pixels = result
-            state.out[chunk.start:chunk.stop] = pixels
-            state.done_chunks += 1
 
     # ------------------------------------------------------------------
     def _respond(self, state: _RequestState, tick: int) -> RenderResponse:
@@ -1098,6 +1080,16 @@ _REQUEST_FIELDS = {"id", "scene", "quality", "step", "image_scale",
                    "views", "scene_seed", "chunk"}
 
 
+def _integer_field(payload: Mapping[str, Any], name: str, default) -> int:
+    """A request field that must be an integer (an integral float is
+    read as one): booleans, strings and fractions are rejected."""
+    value = payload.get(name, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or isinstance(value, float) and not value.is_integer():
+        raise ServeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def request_from_json(payload: Mapping[str, Any],
                       default_id: str) -> RenderRequest:
     """Build (and validate) a request from one JSON-lines object."""
@@ -1113,12 +1105,12 @@ def request_from_json(payload: Mapping[str, Any],
         request_id=str(payload.get("id", default_id)),
         scene=str(payload["scene"]),
         quality=str(payload.get("quality", "standard")),
-        step=int(payload.get("step", 8)),
+        step=_integer_field(payload, "step", 8),
         image_scale=float(payload.get("image_scale", 1 / 16)),
-        views=int(payload.get("views", 4)),
-        scene_seed=int(payload.get("scene_seed", 1)),
-        chunk=(int(payload["chunk"]) if payload.get("chunk") is not None
-               else None))
+        views=_integer_field(payload, "views", 4),
+        scene_seed=_integer_field(payload, "scene_seed", 1),
+        chunk=(None if payload.get("chunk") is None
+               else _integer_field(payload, "chunk", None)))
     request.validate()
     return request
 

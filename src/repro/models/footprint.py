@@ -20,13 +20,10 @@ Bit-exactness is the contract, and it rests on three legs:
   rows at the same output positions.
 * **Kernel regimes.**  A GEMM over fewer rows may run a different BLAS
   kernel with a different in-register accumulation order.  The planner
-  applies a scattered-subset-probed stability model (see
-  :func:`_pad_for_regime`): wide outputs (N >= 9) and small-K shapes
-  (K <= 30) are row-stable outright; narrow shapes over the 1M-cell
-  kernel switch (the empirical constant the sparse fine pass ships on)
-  are pinned by padding rows over the same switch; narrow small-regime
-  and N == 1 shapes have no bitwise-safe packed count and fall back to
-  the dense encode.
+  pads each packed GEMM to a row count that
+  :func:`repro.nn.regime.row_interval` calls bitwise-safe for a
+  scattered subset of its dense counterpart's rows, and falls back to
+  the dense encode where no count is.
 * **Backward.**  Un-gathered feature pixels receive exactly-zero
   gradient, and both the dense conv backward and the packed one apply
   the same :func:`repro.nn.functional.grad_live_rows` compaction, so
@@ -47,7 +44,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .ibrnet import _SGEMM_KERNEL_SWITCH_CELLS
+from ..nn import regime
 from .sparse import flag_enabled, parse_sparse_flag
 
 FOOTPRINT_ENV = "REPRO_FOOTPRINT"
@@ -98,44 +95,14 @@ class FootprintPlan:
     coverage: float                # fetched cells / total final cells
 
 
-# Empirical row-stability model for this container's OpenBLAS, measured
-# by scattered-subset probes (random row subsets of a dense GEMM,
-# zero-padded, compared bitwise against the dense rows):
-#
-# * n >= 9 ("wide" outputs) — row-stable for any subset of >= 2 rows,
-#   in either cell regime and across the regime boundary.
-# * k <= _DIRECT_KERNEL_MAX_K — row-stable for any subset of >= 2 rows
-#   (the small-K direct kernels accumulate per row).  K = 31 is stable,
-#   K = 32 is not; 30 keeps a margin.
-# * 2 <= n <= 8 with k > 30 — rows are only stable between two GEMMs on
-#   the *same* side of the ~1M-cell kernel switch
-#   (:data:`repro.models.ibrnet._SGEMM_KERNEL_SWITCH_CELLS`, the model
-#   PR 9's sparse fine pass ships on).  A packed subset of a large-
-#   regime dense GEMM is pinned by padding over the switch; in the
-#   small regime no padding is bitwise-safe (4-aligned counts fail for
-#   K >= 108 and scattered subsets), so the planner falls back.
-# * n == 1 — sgemv is row-unstable at arbitrary counts in both regimes;
-#   always fall back.
-# * a 1-row product dispatches to the unstable vector path even for
-#   "stable" shapes: every packed GEMM is padded to >= 2 rows.
-_DIRECT_KERNEL_MAX_K = 30
-_MIN_PACKED_ROWS = 2
-
-
 def _pad_for_regime(rows: int, dense_rows: int, k: int, n: int
                     ) -> Optional[int]:
     """Extra zero rows for a packed (rows, k) x (k, n) GEMM to be
     row-stable against its dense (dense_rows, k) x (k, n) counterpart,
     or ``None`` when no padded count is bitwise-safe (dense fallback).
     """
-    if n == 1:
-        return None
-    if n >= 9 or k <= _DIRECT_KERNEL_MAX_K:
-        return max(0, _MIN_PACKED_ROWS - rows)
-    cells = k * n
-    if dense_rows * cells > _SGEMM_KERNEL_SWITCH_CELLS:
-        return max(0, _SGEMM_KERNEL_SWITCH_CELLS // cells + 1 - rows)
-    return None
+    interval = regime.row_interval(dense_rows, k, n, scattered=True)
+    return None if interval is None else max(0, interval[0] - rows)
 
 
 def _input_mask(out_mask: np.ndarray, conv, in_hw: Tuple[int, int]

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Union
 import numpy as np
 
 from .. import nn
-from ..nn import Tensor
+from ..nn import Tensor, regime
 from ..geometry.camera import Camera
 from .encoder import ConvEncoder
 from .features import FetchedFeatures, fetch_features
@@ -34,19 +34,6 @@ from .sampling import SamplePacking, _aligned_rows, pack_samples
 from .sparse import sparse_enabled
 
 DIRECTION_DIM = 4  # relative-direction encoding width (diff vec + dot)
-
-# Empirical OpenBLAS kernel-switch thresholds on this container's
-# single-threaded scipy-openblas build (measured, pinned by the sparse
-# equivalence suite).  ``sgemm`` picks its small-matrix kernel while
-# M*K*N stays at or under ~1e6 output-cells-times-depth; the two
-# kernels produce bitwise-different rows only for the narrow-output
-# shapes flagged in ``_packed_pad_bounds``.  The N == 1 matrix-vector
-# path switches kernels above 16384 rows.  The packed fine pass pads
-# its row count so every GEMM it issues lands in the *same* kernel
-# regime as its dense (R * N_max)-row counterpart — that is what makes
-# packed and padded outputs byte-identical rather than merely close.
-_SGEMM_KERNEL_SWITCH_CELLS = 1_000_000
-_GEMV_KERNEL_SWITCH_ROWS = 16_384
 
 # Running tally of packed-vs-dense forward calls, keyed for the test
 # suite (engagement assertions) and cheap introspection; not thread- or
@@ -403,43 +390,12 @@ class GeneralizableNeRF(nn.Module):
         return shapes
 
     def _packed_pad_bounds(self, num_views: int, dense_columns: int):
-        """(min rows, max rows | None) keeping every packed GEMM in its
-        dense counterpart's kernel regime; (None, None) if infeasible.
-
-        Only the empirically regime-sensitive shapes constrain the
-        count: narrow-output GEMMs (K > 24 with 4 <= N <= 8, e.g. the
-        default density head's 32 -> 8 layer) switch kernels above
-        ``_SGEMM_KERNEL_SWITCH_CELLS`` output-cells-times-depth, and
-        the N == 1 matrix-vector heads switch above
-        ``_GEMV_KERNEL_SWITCH_ROWS`` rows.  Small-regime tail kernels
-        are only row-stable on aligned counts, so a dense call whose
-        row count is not a multiple of 4 cannot be matched and the
-        solver bails (the packed side is always 16-aligned).
-        """
-        floor, cap = 1, None
-        for scale, k, n in self._pointwise_gemm_shapes(num_views):
-            dense_rows = scale * dense_columns
-            if n == 1:
-                if dense_rows > _GEMV_KERNEL_SWITCH_ROWS:
-                    floor = max(floor,
-                                _GEMV_KERNEL_SWITCH_ROWS // scale + 1)
-                else:
-                    if dense_rows % 4:
-                        return None, None
-                    limit = _GEMV_KERNEL_SWITCH_ROWS // scale
-                    cap = limit if cap is None else min(cap, limit)
-            elif k > 24 and 4 <= n <= 8:
-                cells_per_row = scale * k * n
-                if dense_rows * k * n > _SGEMM_KERNEL_SWITCH_CELLS:
-                    floor = max(
-                        floor,
-                        _SGEMM_KERNEL_SWITCH_CELLS // cells_per_row + 1)
-                else:
-                    limit = _SGEMM_KERNEL_SWITCH_CELLS // cells_per_row
-                    cap = limit if cap is None else min(cap, limit)
-            elif n <= 3 and dense_rows % 4:
-                return None, None
-        return floor, cap
+        """(min rows, max rows | None) keeping every packed GEMM bitwise
+        equal to its dense counterpart, or (None, None) if no count does
+        (:func:`repro.nn.regime.batch_interval`)."""
+        bounds = regime.batch_interval(
+            self._pointwise_gemm_shapes(num_views), dense_columns)
+        return bounds if bounds is not None else (None, None)
 
     # ------------------------------------------------------------------
     def per_point_flops(self, num_views: int) -> int:
@@ -451,3 +407,10 @@ class GeneralizableNeRF(nn.Module):
 
     def per_ray_flops(self, points_per_ray: int) -> int:
         return self.ray_module.flops(1, points_per_ray)
+
+    def gemm_shapes(self, num_views: int, points_per_ray: int):
+        """(rows per ray, K, N) of every f32 GEMM of a dense forward
+        pass: the pointwise stage's, then the ray module's."""
+        return ([(scale * points_per_ray, k, n) for scale, k, n
+                 in self._pointwise_gemm_shapes(num_views)]
+                + self.ray_module.gemm_shapes(points_per_ray))

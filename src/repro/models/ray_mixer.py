@@ -74,3 +74,10 @@ class RayMixer(nn.Module):
         channel = 2 * rays * n * d * d
         head = 2 * rays * n * d
         return token + channel + head
+
+    def gemm_shapes(self, points: int):
+        """(rows per ray, K, N) of W1, W2 and W3; like :meth:`flops`,
+        at the built-in N_max."""
+        del points
+        n, d = self.n_max, self.density_feature_dim
+        return [(d, n, n), (n, d, d), (n, d, 1)]

@@ -77,6 +77,12 @@ class RayTransformer(nn.Module):
         head = 2 * rays * points * self.density_feature_dim
         return proj + attn + head
 
+    def gemm_shapes(self, points: int):
+        """(rows per ray, K, N) of the projections and the head (the
+        attention products are per-ray matmuls)."""
+        d, width = self.density_feature_dim, self.qk_dim * self.heads
+        return [(points, d, width)] * 3 + [(points, width, d), (points, d, 1)]
+
 
 class PointwiseDensityHead(nn.Module):
     """No cross-point module: a per-point linear density head.
@@ -99,3 +105,7 @@ class PointwiseDensityHead(nn.Module):
 
     def flops(self, rays: int, points: int) -> int:
         return 2 * rays * points * self.density_feature_dim
+
+    def gemm_shapes(self, points: int):
+        """(rows per ray, K, N) of the head."""
+        return [(points, self.density_feature_dim, 1)]

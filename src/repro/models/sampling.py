@@ -102,8 +102,8 @@ class SamplePacking:
     start is ``offsets[ray]``.  Rows past ``valid`` are padding: copies
     of the first valid cell, present only to keep the packed GEMMs on
     an aligned, kernel-regime-matched row count (see
-    :meth:`repro.models.ibrnet.GeneralizableNeRF._packed_pad_bounds`);
-    their outputs are dropped on scatter.
+    :func:`repro.nn.regime.batch_interval`); their outputs are dropped
+    on scatter.
     """
 
     ray_index: np.ndarray    # (V_pad,) intp — dense ray of each packed row

@@ -6,7 +6,8 @@ quality trade-off to opt into.  The knob exists as an escape hatch —
 for A/B benchmarking (``benchmarks/harness.py``'s ``sparse_fine_pass``
 pair), for pinning the padded reference in the equivalence suite, and
 for turning the machinery off wholesale if a future BLAS build breaks
-the kernel-regime model the packing relies on.
+the kernel-regime model the packing relies on
+(:mod:`repro.nn.regime`).
 
 Parsing is lenient, like every other ``REPRO_*`` knob (see
 :mod:`repro.core.faults`): a malformed value warns through the

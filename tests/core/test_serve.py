@@ -8,6 +8,7 @@ scenes, merged cross-request batches, and 1/2/4 worker settings.  All
 scheduling runs on the virtual clock; no test sleeps.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -39,11 +40,11 @@ def models():
 @pytest.fixture(scope="module")
 def direct_render(store, models):
     """Reference pixels via the direct render_image_* path, memoised
-    per (scene, quality, chunk)."""
+    on every request field but the id."""
     memo = {}
 
     def render(request: RenderRequest) -> np.ndarray:
-        key = (request.scene, request.quality, request.chunk)
+        key = dataclasses.replace(request, request_id="")
         if key in memo:
             return memo[key]
         prepared = store.get(request.scene_key)
@@ -157,6 +158,70 @@ class TestByteIdentity:
         assert [r.status for r in responses] == ["ok"]
         assert responses[0].latency_ticks == 0
         assert np.array_equal(responses[0].image, direct_render(request))
+
+
+class TestMergeExactness:
+    """Merged uniform-tier runs against the direct render where a merged
+    call would cross a BLAS kernel switch that the members' own calls do
+    not (:mod:`repro.nn.regime`).  A standard ray issues its per-view
+    GEMVs at 32 rows and its Ray-Mixer head at 8; a draft ray at 16 and
+    4.  ``sgemv`` switches kernels above 16,384 rows."""
+
+    @staticmethod
+    def _serve(store, models, requests, max_batch=4096):
+        scheduler = RenderScheduler(_config(store, max_batch=max_batch),
+                                    store=store, models=models)
+        for request in requests:
+            scheduler.submit(request, 0)
+        responses, _ = scheduler.drain(0)
+        assert sorted(r.request_id for r in responses) \
+            == sorted(r.request_id for r in requests)
+        return scheduler, responses
+
+    @staticmethod
+    def _assert_direct(requests, responses, direct_render):
+        by_id = {request.request_id: request for request in requests}
+        for response in responses:
+            assert response.status == "ok"
+            assert np.array_equal(response.image,
+                                  direct_render(by_id[response.request_id])
+                                  ), by_id[response.request_id]
+
+    @pytest.mark.parametrize("quality, step, count", [
+        ("standard", 3, 2),   # per-view GEMVs: 10,752 rows, merged 21,504
+        ("draft", 2, 2),      # per-view GEMVs: 12,288 rows, merged 24,576
+        ("standard", 2, 3),   # Ray-Mixer head: 6,144 rows, merged 18,432
+    ])
+    def test_merge_across_gemv_switch(self, quality, step, count, store,
+                                      models, direct_render):
+        requests = [RenderRequest(request_id=f"x{i}", scene="fern",
+                                  quality=quality,
+                                  **dict(SCENE_KW, step=step))
+                    for i in range(count)]
+        _, responses = self._serve(store, models, requests)
+        self._assert_direct(requests, responses, direct_render)
+
+    def test_seeded_mixes_with_pinned_chunks(self, store, models,
+                                             direct_render):
+        """Random draft/standard mixes at steps 1-4 (2,961 to 192 rays)
+        with pinned chunk sizes.  This seed puts own and merged row
+        counts on both sides of every switch, except a draft chunk over
+        the draft head's 4,096 rays, which needs a larger image."""
+        rng = np.random.default_rng(27)
+        chunks = (None, 96, 300, 520, 1100, 2100)
+        merged = 0
+        for round_index in range(6):
+            requests = [RenderRequest(
+                request_id=f"mix{round_index}-{i}", scene="fern",
+                quality=("draft", "standard")[int(rng.integers(2))],
+                chunk=chunks[int(rng.integers(len(chunks)))],
+                **dict(SCENE_KW, step=int(rng.integers(1, 5))))
+                for i in range(int(rng.integers(2, 5)))]
+            scheduler, responses = self._serve(store, models, requests,
+                                               max_batch=8192)
+            self._assert_direct(requests, responses, direct_render)
+            merged += scheduler.counters["merged_rays"]
+        assert merged > 0
 
 
 class TestBackpressure:
@@ -390,3 +455,14 @@ class TestDaemon:
         request = serve.request_from_json({"scene": "fern"}, "fallback")
         assert request.request_id == "fallback"
         assert request.quality == "standard"
+        # Integer fields are rejected, not truncated, unless integral.
+        for field, value in [("step", 2.5), ("step", True), ("step", "3"),
+                             ("views", 4.9), ("chunk", 16.7),
+                             ("scene_seed", False), ("chunk", "16")]:
+            with pytest.raises(ServeError, match=f"{field} must be an "
+                                                 f"integer"):
+                serve.request_from_json({"scene": "fern", field: value},
+                                        "d")
+        request = serve.request_from_json(
+            {"scene": "fern", "step": 2.0, "chunk": None}, "d")
+        assert (request.step, request.chunk) == (2, None)
