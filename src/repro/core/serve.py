@@ -58,6 +58,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import numbers
 import os
 import zlib
 from collections import OrderedDict
@@ -229,14 +230,15 @@ class RenderRequest:
         if self.quality not in QUALITIES:
             raise ServeError(f"unknown quality {self.quality!r}; "
                              f"choose from {sorted(QUALITIES)}")
-        if int(self.step) < 1:
+        if _integer("step", self.step) < 1:
             raise ServeError(f"step must be >= 1, got {self.step}")
-        if int(self.views) < 1:
+        if _integer("views", self.views) < 1:
             raise ServeError(f"views must be >= 1, got {self.views}")
+        _integer("scene_seed", self.scene_seed)
         if not 0.0 < float(self.image_scale) <= 1.0:
             raise ServeError(f"image_scale must be in (0, 1], "
                              f"got {self.image_scale}")
-        if self.chunk is not None and int(self.chunk) < 1:
+        if self.chunk is not None and _integer("chunk", self.chunk) < 1:
             raise ServeError(f"chunk must be >= 1, got {self.chunk}")
 
     @property
@@ -626,18 +628,20 @@ class RenderScheduler:
         pre-drawn in chunk order from the frame's ``default_rng(0)``)."""
         spec = QUALITIES[request.quality]
         scene = self.store.scene_for(request.scene_key)
+        # validate() admits integral floats; read them as ints here.
+        step = int(request.step)
         bundle = rays_for_image(scene.target_camera, scene.near, scene.far,
-                                step=request.step)
-        rows, cols = image_shape_for_step(scene.target_camera,
-                                          request.step)
+                                step=step)
+        rows, cols = image_shape_for_step(scene.target_camera, step)
         views = len(scene.source_cameras)
         if spec.kind == "gen_nerf":
             model = self.model_for(request.quality)
             points = model.config.coarse_points + model.config.n_max
         else:
             points = spec.num_points + spec.coarse_points
-        chunk = _renderer().adaptive_chunk(len(bundle), views, points,
-                                           request.chunk)
+        chunk = _renderer().adaptive_chunk(
+            len(bundle), views, points,
+            None if request.chunk is None else int(request.chunk))
         slices = _renderer()._chunk_slices(len(bundle), chunk)
         rng = np.random.default_rng(0)
         chunks = [_Chunk(start, stop,
@@ -1080,12 +1084,14 @@ _REQUEST_FIELDS = {"id", "scene", "quality", "step", "image_scale",
                    "views", "scene_seed", "chunk"}
 
 
-def _integer_field(payload: Mapping[str, Any], name: str, default) -> int:
-    """A request field that must be an integer (an integral float is
-    read as one): booleans, strings and fractions are rejected."""
-    value = payload.get(name, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or isinstance(value, float) and not value.is_integer():
+def _integer(name: str, value: Any) -> int:
+    """The value of a request field that must be an integer, for the
+    JSON parser and :meth:`RenderRequest.validate` alike: an integral
+    float is read as one (JSON has no integer type); booleans, strings
+    and fractions are rejected."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
         raise ServeError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
@@ -1105,12 +1111,12 @@ def request_from_json(payload: Mapping[str, Any],
         request_id=str(payload.get("id", default_id)),
         scene=str(payload["scene"]),
         quality=str(payload.get("quality", "standard")),
-        step=_integer_field(payload, "step", 8),
+        step=_integer("step", payload.get("step", 8)),
         image_scale=float(payload.get("image_scale", 1 / 16)),
-        views=_integer_field(payload, "views", 4),
-        scene_seed=_integer_field(payload, "scene_seed", 1),
+        views=_integer("views", payload.get("views", 4)),
+        scene_seed=_integer("scene_seed", payload.get("scene_seed", 1)),
         chunk=(None if payload.get("chunk") is None
-               else _integer_field(payload, "chunk", None)))
+               else _integer("chunk", payload["chunk"])))
     request.validate()
     return request
 

@@ -38,7 +38,7 @@ from .dram import DramConfig, DramModel
 from .engine import EngineConfig, RenderingEngine
 from .interleave import FeatureStore, balance_factors, batched_bank_load
 from .scheduler import (FramePlan, GreedyPatchScheduler, SchedulerConfig,
-                        fixed_partition, split_plan_arrays)
+                        _ordered_sum, fixed_partition, split_plan_arrays)
 from .sram import PrefetchDoubleBuffer, SramConfig
 from .units import ACCELERATOR_FREQ_HZ, DEFAULT_ENERGY, EnergyTable
 
@@ -312,10 +312,11 @@ class GenNerfAccelerator:
         matches the seed loop's ``+=`` chain at any worker count.
         """
         from ..core import frame_pool  # function-level: core imports us
-        # Struct-of-arrays plans (the scheduler's native output since
-        # the flat-assembly rewrite) feed the batched bank loads with
-        # no per-patch object walk at all; object-built plans (seed
-        # loop, fixed_partition) pack lazily through ``plan.arrays``.
+        # Both planners (plan_frame and fixed_partition) build
+        # struct-of-arrays plans, which feed the batched bank loads with
+        # no per-patch object walk at all; object-built plans (the seed
+        # planners in repro.perf.reference) pack lazily through
+        # ``plan.arrays``.
         arrays = plan.arrays
         count = frame_pool.resolve_workers(arrays.num_patches, workers)
         groups = split_plan_arrays(arrays, count)
@@ -380,21 +381,6 @@ def _prefetch_patch_group(state, arrays, store: FeatureStore,
         sram_banks)
     balances = balance_factors(sram_bank_bytes)
     return (dram_stats.service_time_s, dram_stats.energy_pj, balances)
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    """Left-to-right float accumulation, matching the seed loop's ``+=``.
-
-    ``np.sum`` reduces pairwise, which can differ from sequential
-    accumulation in the last bits; frame totals are pinned bit-identical
-    to :func:`repro.perf.reference.simulate_frame_loop`, so the handful
-    of scalar totals keep its order (~10^4 Python float adds, ~1 ms —
-    noise next to the array passes they summarise).
-    """
-    total = 0.0
-    for value in np.asarray(values).tolist():
-        total += value
-    return total
 
 
 # Fig. 12 ablation variants -------------------------------------------------

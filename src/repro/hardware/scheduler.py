@@ -185,16 +185,18 @@ def split_plan_arrays(arrays: PlanArrays, shards: int) -> List[PlanArrays]:
 class FramePlan:
     """Output of scheduling one frame.
 
-    Struct-of-arrays first: :meth:`GreedyPatchScheduler.plan_frame`
-    builds the flat :class:`PlanArrays` directly and the batched frame
+    Struct-of-arrays first: both planners,
+    :meth:`GreedyPatchScheduler.plan_frame` and :func:`fixed_partition`,
+    build the flat :class:`PlanArrays` directly and the batched frame
     simulation consumes them without ever constructing Python objects;
     the ``patches`` list of :class:`Patch`/:class:`FootprintRegion`
     objects is materialised **on demand** (and cached) for object
     consumers — the seed simulation loop, tests, diagnostics.  Plans
     can equally be built *from* an object list (``patches=``, used by
-    the seed planner and ``fixed_partition``), in which case the array
-    view is derived lazily; both representations describe the same
-    plan bit for bit (``tests/hardware/test_scheduler_equivalence.py``).
+    the seed planners in :mod:`repro.perf.reference`), in which case
+    the array view is derived lazily; both representations describe the
+    same plan bit for bit
+    (``tests/hardware/test_scheduler_equivalence.py``).
     """
 
     def __init__(self, patches: Optional[List[Patch]] = None,
@@ -290,23 +292,84 @@ class FramePlan:
 
 
 
-def _polygon_areas(points: np.ndarray) -> np.ndarray:
-    """Areas of near-convex point sets (T, K, 2) via centroid-angle sort.
+def _corner_lattice(novel: Camera, height: int, width: int,
+                    shape: PatchShape, depth_edges: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+    """One candidate's frustum corners as a shared lattice of world points.
 
-    Exact for points in convex position (true for projected frustum
-    corners away from degeneracies); a documented estimator otherwise —
-    this is the same quantity the hardware's area calculator produces
-    from the projected tetragon.
+    Neighbouring tiles share their edge corners and each depth slab's
+    far face is the next slab's near face, so the corner points of all
+    (slab, tile) frusta form one lattice: row edges ``0, dh, ...,
+    height`` x column edges ``0, dw, ..., width`` x the ``n_slabs + 1``
+    depth edges.  The last row and column edge are the image border,
+    where edge tiles are clipped by ``min(h0 + dh, height)``.  Each
+    point is unprojected once here and projected once per view by
+    :meth:`GreedyPatchScheduler._footprint_stats`, instead of once per
+    frustum that has it as a corner (up to six).
+
+    Returns ``(points, corners)``: the (L, 3) world points, and the
+    (8, n_slabs * T) lattice index of every frustum's corners in
+    slab-major (slab, tile) order.  The corner order is the per-frustum
+    one: the near face (w0, h0), (w1, h0), (w1, h1), (w0, h1), then the
+    far face in the same order.  Every point goes through the same
+    unprojection arithmetic as a per-frustum corner would, so gathered
+    corners are bit-identical to unprojecting each frustum on its own.
     """
-    centroid = points.mean(axis=1, keepdims=True)
-    angles = np.arctan2(points[..., 1] - centroid[..., 1],
-                        points[..., 0] - centroid[..., 0])
-    order = np.argsort(angles, axis=1)
-    ordered = np.take_along_axis(points, order[..., None], axis=1)
-    x, y = ordered[..., 0], ordered[..., 1]
-    x_next = np.roll(x, -1, axis=1)
-    y_next = np.roll(y, -1, axis=1)
-    return 0.5 * np.abs(np.sum(x * y_next - y * x_next, axis=1))
+    rows = np.append(np.arange(0, height, shape.dh), height)
+    cols = np.append(np.arange(0, width, shape.dw), width)
+    grid_v, grid_u = np.meshgrid(rows, cols, indexing="ij")
+    face = np.stack([grid_u.ravel(), grid_v.ravel()],
+                    axis=-1).astype(np.float64)            # (F, 2) pixels
+    face_points = face.shape[0]
+    edges = depth_edges.shape[0]
+    points = novel.unproject(
+        np.broadcast_to(face, (edges, face_points, 2)).reshape(-1, 2),
+        np.repeat(depth_edges, face_points))
+
+    stride = cols.size
+    tile_base = (np.arange(rows.size - 1)[:, None] * stride
+                 + np.arange(cols.size - 1)).ravel()        # (w0, h0) corners
+    quad = np.array([0, 1, stride + 1, stride])
+    offsets = np.concatenate([quad, quad + face_points])    # near, far face
+    slab_base = (np.arange(edges - 1)[:, None] * face_points
+                 + tile_base).ravel()
+    return points, offsets[:, None] + slab_base
+
+
+# Corner k's successor in a closed 8-gon, for the shoelace terms.
+_NEXT_CORNER = np.array([1, 2, 3, 4, 5, 6, 7, 0])
+
+
+def _polygon_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Areas of near-convex 8-point sets via centroid-angle sort.
+
+    ``x`` and ``y`` are corner-major (8, N) coordinate planes.  Exact
+    for points in convex position (true for projected frustum corners
+    away from degeneracies); a documented estimator otherwise — this is
+    the same quantity the hardware's area calculator produces from the
+    projected tetragon.
+
+    The arithmetic reproduces the point-major (N, 8, 2) seed
+    (``repro.perf.reference._polygon_areas``) bit for bit: numpy
+    reduces a leading axis corner by corner, the order in which it
+    reduces the seed's (N, 8, 2) points over axis 1; the angles are
+    argsorted as the same row-major (N, 8) array, since the order of
+    ties depends on that layout; and the shoelace terms are added in
+    numpy's 8-element pairwise order, which the seed's row sums use.
+    """
+    count = x.shape[1]
+    angles = np.arctan2(y - y.mean(axis=0), x - x.mean(axis=0))
+    order = np.argsort(np.ascontiguousarray(angles.T), axis=1)
+    # Flat (8, N) gather index, C-ordered so the gathered planes are too.
+    by_angle = np.ascontiguousarray(order.T)
+    by_angle *= count
+    by_angle += np.arange(count)
+    xs = x.ravel()[by_angle]
+    ys = y.ravel()[by_angle]
+    cross = xs * ys[_NEXT_CORNER] - ys * xs[_NEXT_CORNER]
+    total = ((cross[0] + cross[1]) + (cross[2] + cross[3])) \
+        + ((cross[4] + cross[5]) + (cross[6] + cross[7]))
+    return 0.5 * np.abs(total)
 
 
 class GreedyPatchScheduler:
@@ -323,63 +386,35 @@ class GreedyPatchScheduler:
         grid_h, grid_w = np.meshgrid(hs, ws, indexing="ij")
         return grid_h.ravel(), grid_w.ravel()
 
-    def _frustum_corners_slabs(self, novel: Camera, h0: np.ndarray,
-                               w0: np.ndarray, h1: np.ndarray,
-                               w1: np.ndarray, depth_edges: np.ndarray
-                               ) -> np.ndarray:
-        """(n_slabs, T, 8, 3) world corners for every depth slab at once.
+    def _footprint_stats(self, lattice: np.ndarray, corners: np.ndarray,
+                         source: Camera) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-frustum (location count, bbox rows/cols) on one source view.
 
-        ``depth_edges`` has n_slabs+1 entries; slab s spans
-        [edges[s], edges[s+1]].  One unprojection covers all slabs — the
-        per-point math is unchanged from the per-slab version, so the
-        corners are bit-identical.
-        """
-        tiles = h0.shape[0]
-        n_slabs = depth_edges.shape[0] - 1
-        pixel_corners = np.stack([
-            np.stack([w0, h0], axis=-1),
-            np.stack([w1, h0], axis=-1),
-            np.stack([w1, h1], axis=-1),
-            np.stack([w0, h1], axis=-1),
-        ], axis=1).astype(np.float64)                      # (T, 4, 2)
-        # (n_slabs, 2 ends, T, 4 corners): every (slab, end) pair reuses
-        # the same pixel corners at its own depth.
-        slab_depths = np.stack([depth_edges[:-1], depth_edges[1:]], axis=1)
-        pixels = np.broadcast_to(pixel_corners,
-                                 (n_slabs, 2, tiles, 4, 2)).reshape(-1, 2)
-        depths = np.broadcast_to(slab_depths[..., None, None],
-                                 (n_slabs, 2, tiles, 4)).reshape(-1)
-        points = novel.unproject(pixels, depths)
-        corners = points.reshape(n_slabs, 2, tiles, 4, 3)
-        return corners.transpose(0, 2, 1, 3, 4).reshape(n_slabs, tiles, 8, 3)
-
-    def _footprint_stats(self, corners: np.ndarray, source: Camera
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-tile (location count, bbox rows/cols) on one source view.
-
-        Returns ``(locations, bbox)`` with bbox as (T, 4) int arrays of
+        ``lattice`` and ``corners`` are a candidate's corner lattice and
+        its (8, N) frustum index (:func:`_corner_lattice`): the lattice
+        is projected, scaled and clipped once, and every frustum
+        gathers its 8 corners as corner-major planes.  Returns
+        ``(locations, bbox)`` with bbox as (N, 4) int arrays of
         (row0, row1, col0, col1) at feature resolution, clipped to the
-        feature map.  Tiles with corners behind the camera are charged
+        feature map.  Frusta with corners behind the camera are charged
         the full feature map (worst case, forcing the comparator away
         from such shapes).
         """
         cfg = self.config
         feat_w = max(1, int(round(source.intrinsics.width * cfg.feature_scale)))
         feat_h = max(1, int(round(source.intrinsics.height * cfg.feature_scale)))
-        tiles = corners.shape[0]
 
-        pixels, depth = source.project(corners.reshape(-1, 3),
-                                       return_depth=True)
-        pixels = (pixels * cfg.feature_scale).reshape(tiles, 8, 2)
-        depth = depth.reshape(tiles, 8)
-        bad = (depth <= 1e-9).any(axis=1)
+        pixels, depth = source.project(lattice, return_depth=True)
+        pixels = pixels * cfg.feature_scale
+        x = np.clip(pixels[:, 0], 0.0, feat_w - 1.0)[corners]    # (8, N)
+        y = np.clip(pixels[:, 1], 0.0, feat_h - 1.0)[corners]
+        bad = (depth <= 1e-9)[corners].any(axis=0)
 
-        clipped = np.clip(pixels, [0.0, 0.0], [feat_w - 1.0, feat_h - 1.0])
-        areas = _polygon_areas(clipped)
-        col0 = np.floor(clipped[..., 0].min(axis=1)).astype(np.int64)
-        col1 = np.ceil(clipped[..., 0].max(axis=1)).astype(np.int64) + 1
-        row0 = np.floor(clipped[..., 1].min(axis=1)).astype(np.int64)
-        row1 = np.ceil(clipped[..., 1].max(axis=1)).astype(np.int64) + 1
+        areas = _polygon_areas(x, y)
+        col0 = np.floor(x.min(axis=0)).astype(np.int64)
+        col1 = np.ceil(x.max(axis=0)).astype(np.int64) + 1
+        row0 = np.floor(y.min(axis=0)).astype(np.int64)
+        row1 = np.ceil(y.max(axis=0)).astype(np.int64) + 1
 
         guard = cfg.guard_band * ((row1 - row0) + (col1 - col0))
         locations = np.minimum(areas + guard, float(feat_w * feat_h))
@@ -417,18 +452,17 @@ class GreedyPatchScheduler:
         tiles = h0.shape[0]
         num_views = len(sources)
 
-        # All slabs' frusta in one unprojection, then one projection per
-        # view over the whole (slab, tile) block — the Python loop is
-        # over the S source views only, not n_slabs x S.
+        # One corner lattice for all slabs' frusta, unprojected once and
+        # projected once per view — the Python loop is over the S
+        # source views only, not n_slabs x S.
         depth_edges = near + (far - near) \
             * (np.arange(n_slabs + 1) * shape.dd) / cfg.depth_bins
-        corners = self._frustum_corners_slabs(novel, h0, w0, h1, w1,
-                                              depth_edges)
-        flat_corners = corners.reshape(n_slabs * tiles, 8, 3)
+        lattice, corners = _corner_lattice(novel, height, width, shape,
+                                           depth_edges)
         locs = np.zeros((tiles, n_slabs, num_views))
         bboxes = np.zeros((tiles, n_slabs, num_views, 4), dtype=np.int64)
         for view, source in enumerate(sources):
-            locations, bbox = self._footprint_stats(flat_corners, source)
+            locations, bbox = self._footprint_stats(lattice, corners, source)
             locs[:, :, view] = locations.reshape(n_slabs, tiles).T
             bboxes[:, :, view] = bbox.reshape(n_slabs, tiles, 4) \
                 .transpose(1, 0, 2)
@@ -563,13 +597,8 @@ class GreedyPatchScheduler:
                             fetch_regions=fetch_regions, fetch_counts=counts,
                             resident_regions=resident_regions,
                             resident_counts=counts.copy())
-        # The seed loop accumulated the frame total patch by patch with
-        # ``+=``; keep its float addition order so totals stay
-        # bit-identical.
-        total_bytes = 0.0
-        for value in prefetch.tolist():
-            total_bytes += value
-        return FramePlan(arrays=arrays, total_prefetch_bytes=total_bytes,
+        return FramePlan(arrays=arrays,
+                         total_prefetch_bytes=_ordered_sum(prefetch),
                          candidate_histogram=histogram, image_height=height,
                          image_width=width, depth_bins=cfg.depth_bins)
 
@@ -595,36 +624,33 @@ class GreedyPatchScheduler:
         return work
 
 
+def _ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right float accumulation, matching the seed loops' ``+=``.
+
+    ``np.sum`` reduces pairwise, which can differ from sequential
+    accumulation in the last bits; plan and frame totals are pinned
+    bit-identical to the seed loops in :mod:`repro.perf.reference`, so
+    they keep the loops' order (~10^4 Python float adds, ~1 ms — noise
+    next to the array passes they summarise).
+    """
+    total = 0.0
+    for value in np.asarray(values).tolist():
+        total += value
+    return total
+
+
 def _delta_column_spans(bboxes: np.ndarray, delta_locs: np.ndarray
                         ) -> np.ndarray:
     """Delta-region column counts for (..., S, 4) bboxes at once.
 
-    The same arithmetic as :func:`_delta_footprints`, batched over any
+    The same arithmetic as the seed's per-patch loop
+    (``repro.perf.reference._delta_footprints``), batched over any
     leading (tile, slab) axes: each view's bbox keeps its row span and
     the column span shrinks to carry the delta location count.
     """
     rows = np.maximum(1, bboxes[..., 1] - bboxes[..., 0])
     cols = np.maximum(1, np.ceil(delta_locs / rows).astype(np.int64))
     return np.minimum(cols, np.maximum(1, bboxes[..., 3] - bboxes[..., 2]))
-
-
-def _delta_footprints(bboxes_sv: np.ndarray, delta_locs_sv: np.ndarray
-                      ) -> List[FootprintRegion]:
-    """Footprint regions for the delta-fetched part of a slab patch.
-
-    The DRAM-visible region keeps each view's bbox row span (row
-    activations are per feature row) with the column span shrunk to
-    carry the delta location count.
-    """
-    regions: List[FootprintRegion] = []
-    for view in range(bboxes_sv.shape[0]):
-        row0, row1, col0, col1 = (int(x) for x in bboxes_sv[view])
-        rows = max(1, row1 - row0)
-        cols = max(1, int(np.ceil(delta_locs_sv[view] / rows)))
-        cols = min(cols, max(1, col1 - col0))
-        regions.append(FootprintRegion(view=view, row0=row0, row1=row1,
-                                       col0=col0, col1=col0 + cols))
-    return regions
 
 
 def fixed_partition(novel: Camera, sources: Sequence[Camera], near: float,
@@ -641,33 +667,37 @@ def fixed_partition(novel: Camera, sources: Sequence[Camera], near: float,
     height = novel.intrinsics.height
     width = novel.intrinsics.width
 
-    best_plan: Optional[FramePlan] = None
+    # Halve k from the macro tile until every footprint fits, stopping
+    # at the 4 px floor whether or not it fits.
     k = config.macro_tile
-    while k >= 4:
+    while True:
         shape = PatchShape(k, k, config.depth_bins)
-        h0, w0, h1, w1, full_bytes, _delta, delta_locs, bboxes = \
+        h0, w0, h1, w1, full_bytes, _delta, _delta_locs, bboxes = \
             scheduler.evaluate_candidate(novel, sources, height, width,
                                          shape, near, far)
-        if (full_bytes <= config.buffer_bytes).all() or k == 4:
-            patches = []
-            total = 0.0
-            bbox_list = bboxes[:, 0].tolist()
-            bytes_list = full_bytes[:, 0].tolist()
-            bounds = np.stack([h0, h1, w0, w1], axis=-1).tolist()
-            for t, (th0, th1, tw0, tw1) in enumerate(bounds):
-                footprints = [FootprintRegion(view=v, row0=bb[0], row1=bb[1],
-                                              col0=bb[2], col1=bb[3])
-                              for v, bb in enumerate(bbox_list[t])]
-                patches.append(Patch(h0=th0, h1=th1, w0=tw0, w1=tw1,
-                                     d0=0, d1=config.depth_bins,
-                                     prefetch_bytes=bytes_list[t],
-                                     footprints=footprints))
-                total += patches[-1].prefetch_bytes
-            best_plan = FramePlan(patches=patches, total_prefetch_bytes=total,
-                                  candidate_histogram={shape: len(patches)},
-                                  image_height=height, image_width=width,
-                                  depth_bins=config.depth_bins)
+        if k // 2 < 4 or (full_bytes <= config.buffer_bytes).all():
             break
         k //= 2
-    assert best_plan is not None
-    return best_plan
+
+    # One full-depth patch per tile, built as arrays like plan_frame's:
+    # a patch fetches exactly the per-view bboxes it keeps resident, so
+    # one (tile, view)-ordered region array serves as both.
+    tiles = h0.shape[0]
+    num_views = len(sources)
+    bounds = np.stack([h0, h1, w0, w1, np.zeros_like(h0),
+                       np.full_like(h0, config.depth_bins)],
+                      axis=-1).astype(np.int64)
+    prefetch = full_bytes[:, 0]
+    regions = np.empty((tiles, num_views, 5), dtype=np.int64)
+    regions[..., 0] = np.arange(num_views)
+    regions[..., 1:] = bboxes[:, 0]
+    regions = regions.reshape(-1, 5)
+    counts = np.full(tiles, num_views, dtype=np.int64)
+    arrays = PlanArrays(bounds=bounds, prefetch_bytes=prefetch,
+                        fetch_regions=regions, fetch_counts=counts,
+                        resident_regions=regions, resident_counts=counts)
+    return FramePlan(arrays=arrays,
+                     total_prefetch_bytes=_ordered_sum(prefetch),
+                     candidate_histogram={shape: tiles},
+                     image_height=height, image_width=width,
+                     depth_bins=config.depth_bins)

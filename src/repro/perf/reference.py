@@ -3,7 +3,14 @@
 These are verbatim copies of the original per-ray / per-request /
 per-view Python loop code that :mod:`repro.models.sampling`,
 :mod:`repro.hardware.trace`, :mod:`repro.models.features`, and
-:mod:`repro.hardware.scheduler` shipped with, kept for two jobs:
+:mod:`repro.hardware.scheduler` shipped with.  The scheduler's seeds
+are self-contained: the per-frustum corner projection and point-major
+area calculator (``_footprint_stats``, ``_polygon_areas``), the
+all-slab corner unprojection (``_frustum_corners_slabs``), the
+per-patch delta regions (``_delta_footprints``) and the object-built
+Var-1 partition (``fixed_partition_loop``) live here, so the scheduler's
+corner lattice and array-built plans are never pinned against
+themselves.  They are kept for two jobs:
 
 * the equivalence suites (``tests/models/test_sampling_equivalence.py``,
   ``tests/hardware/test_trace_equivalence.py``,
@@ -46,7 +53,8 @@ __all__ = [
     "replay_trace_loop", "encode_views_loop", "fetch_features_loop",
     "forward_fetched_loop", "model_forward_padded",
     "render_rays_chunked_loop",
-    "evaluate_candidate_loop", "plan_frame_loop", "simulate_frame_loop",
+    "evaluate_candidate_loop", "plan_frame_loop", "fixed_partition_loop",
+    "simulate_frame_loop",
     "AdamLoop", "clip_grad_norm_loop", "TrainerLoop", "trainer_fit_loop",
     "trainer_full_encode",
 ]
@@ -390,6 +398,114 @@ def render_rays_chunked_loop(model, bundle, source_cameras,
 # Seed scheduler slab sweep (per-slab / per-view footprint loops)
 # ----------------------------------------------------------------------
 
+def _polygon_areas(points: np.ndarray) -> np.ndarray:
+    """Areas of near-convex point sets (T, K, 2) via centroid-angle sort.
+
+    Exact for points in convex position (true for projected frustum
+    corners away from degeneracies); a documented estimator otherwise —
+    this is the same quantity the hardware's area calculator produces
+    from the projected tetragon.
+    """
+    centroid = points.mean(axis=1, keepdims=True)
+    angles = np.arctan2(points[..., 1] - centroid[..., 1],
+                        points[..., 0] - centroid[..., 0])
+    order = np.argsort(angles, axis=1)
+    ordered = np.take_along_axis(points, order[..., None], axis=1)
+    x, y = ordered[..., 0], ordered[..., 1]
+    x_next = np.roll(x, -1, axis=1)
+    y_next = np.roll(y, -1, axis=1)
+    return 0.5 * np.abs(np.sum(x * y_next - y * x_next, axis=1))
+
+
+def _frustum_corners_slabs(novel, h0: np.ndarray,
+                           w0: np.ndarray, h1: np.ndarray,
+                           w1: np.ndarray, depth_edges: np.ndarray
+                           ) -> np.ndarray:
+    """(n_slabs, T, 8, 3) world corners for every depth slab at once.
+
+    ``depth_edges`` has n_slabs+1 entries; slab s spans
+    [edges[s], edges[s+1]].  One unprojection covers all slabs — the
+    per-point math is unchanged from the per-slab version, so the
+    corners are bit-identical.
+    """
+    tiles = h0.shape[0]
+    n_slabs = depth_edges.shape[0] - 1
+    pixel_corners = np.stack([
+        np.stack([w0, h0], axis=-1),
+        np.stack([w1, h0], axis=-1),
+        np.stack([w1, h1], axis=-1),
+        np.stack([w0, h1], axis=-1),
+    ], axis=1).astype(np.float64)                      # (T, 4, 2)
+    # (n_slabs, 2 ends, T, 4 corners): every (slab, end) pair reuses
+    # the same pixel corners at its own depth.
+    slab_depths = np.stack([depth_edges[:-1], depth_edges[1:]], axis=1)
+    pixels = np.broadcast_to(pixel_corners,
+                             (n_slabs, 2, tiles, 4, 2)).reshape(-1, 2)
+    depths = np.broadcast_to(slab_depths[..., None, None],
+                             (n_slabs, 2, tiles, 4)).reshape(-1)
+    points = novel.unproject(pixels, depths)
+    corners = points.reshape(n_slabs, 2, tiles, 4, 3)
+    return corners.transpose(0, 2, 1, 3, 4).reshape(n_slabs, tiles, 8, 3)
+
+
+def _footprint_stats(scheduler, corners: np.ndarray, source
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-tile (location count, bbox rows/cols) on one source view.
+
+    Returns ``(locations, bbox)`` with bbox as (T, 4) int arrays of
+    (row0, row1, col0, col1) at feature resolution, clipped to the
+    feature map.  Tiles with corners behind the camera are charged
+    the full feature map (worst case, forcing the comparator away
+    from such shapes).
+    """
+    cfg = scheduler.config
+    feat_w = max(1, int(round(source.intrinsics.width * cfg.feature_scale)))
+    feat_h = max(1, int(round(source.intrinsics.height * cfg.feature_scale)))
+    tiles = corners.shape[0]
+
+    pixels, depth = source.project(corners.reshape(-1, 3),
+                                   return_depth=True)
+    pixels = (pixels * cfg.feature_scale).reshape(tiles, 8, 2)
+    depth = depth.reshape(tiles, 8)
+    bad = (depth <= 1e-9).any(axis=1)
+
+    clipped = np.clip(pixels, [0.0, 0.0], [feat_w - 1.0, feat_h - 1.0])
+    areas = _polygon_areas(clipped)
+    col0 = np.floor(clipped[..., 0].min(axis=1)).astype(np.int64)
+    col1 = np.ceil(clipped[..., 0].max(axis=1)).astype(np.int64) + 1
+    row0 = np.floor(clipped[..., 1].min(axis=1)).astype(np.int64)
+    row1 = np.ceil(clipped[..., 1].max(axis=1)).astype(np.int64) + 1
+
+    guard = cfg.guard_band * ((row1 - row0) + (col1 - col0))
+    locations = np.minimum(areas + guard, float(feat_w * feat_h))
+    locations = np.where(bad, float(feat_w * feat_h), locations)
+    row0 = np.where(bad, 0, row0)
+    row1 = np.where(bad, feat_h, row1)
+    col0 = np.where(bad, 0, col0)
+    col1 = np.where(bad, feat_w, col1)
+    bbox = np.stack([row0, row1, col0, col1], axis=-1)
+    return locations, bbox
+
+
+def _delta_footprints(bboxes_sv: np.ndarray, delta_locs_sv: np.ndarray
+                      ) -> List[FootprintRegion]:
+    """Footprint regions for the delta-fetched part of a slab patch.
+
+    The DRAM-visible region keeps each view's bbox row span (row
+    activations are per feature row) with the column span shrunk to
+    carry the delta location count.
+    """
+    regions: List[FootprintRegion] = []
+    for view in range(bboxes_sv.shape[0]):
+        row0, row1, col0, col1 = (int(x) for x in bboxes_sv[view])
+        rows = max(1, row1 - row0)
+        cols = max(1, int(np.ceil(delta_locs_sv[view] / rows)))
+        cols = min(cols, max(1, col1 - col0))
+        regions.append(FootprintRegion(view=view, row0=row0, row1=row1,
+                                       col0=col0, col1=col0 + cols))
+    return regions
+
+
 def evaluate_candidate_loop(scheduler, novel, sources, height: int,
                             width: int, shape, near: float, far: float
                             ) -> Tuple[np.ndarray, ...]:
@@ -426,7 +542,7 @@ def evaluate_candidate_loop(scheduler, novel, sources, height: int,
             / cfg.depth_bins
         corners = frustum_corners(depth_lo, depth_hi)
         for view, source in enumerate(sources):
-            locations, bbox = scheduler._footprint_stats(corners, source)
+            locations, bbox = _footprint_stats(scheduler, corners, source)
             locs[:, slab, view] = locations
             bboxes[:, slab, view] = bbox
 
@@ -457,7 +573,7 @@ def plan_frame_loop(scheduler, novel, sources, near: float, far: float):
     """Seed ``GreedyPatchScheduler.plan_frame``: per-(slab, view)
     candidate evaluation plus the per-tile / per-slab Python patch
     assembly with per-patch ``int`` conversions."""
-    from ..hardware.scheduler import FramePlan, Patch, _delta_footprints
+    from ..hardware.scheduler import FramePlan, Patch
 
     cfg = scheduler.config
     height = novel.intrinsics.height
@@ -525,6 +641,59 @@ def plan_frame_loop(scheduler, novel, sources, near: float, far: float):
     return FramePlan(patches=patches, total_prefetch_bytes=total_bytes,
                      candidate_histogram=histogram, image_height=height,
                      image_width=width, depth_bins=cfg.depth_bins)
+
+
+def fixed_partition_loop(novel, sources, near: float, far: float, config):
+    """Var-1 baseline (Fig. 12): constant {k, k, D} patches.
+
+    k is the largest candidate-independent square tile whose worst-case
+    footprint fits the prefetch buffer; patches span the full depth
+    range, so footprints are long epipolar stripes and neighbouring
+    tiles re-fetch heavily overlapping regions (no depth-delta reuse is
+    possible — each tile is a single patch).
+
+    Seed ``repro.hardware.scheduler.fixed_partition``: one
+    :class:`Patch` of :class:`FootprintRegion` objects per tile, packed
+    into arrays only when a consumer reads ``plan.arrays``.  Tiles are
+    costed by :func:`evaluate_candidate_loop`.
+    """
+    from ..hardware.scheduler import (FramePlan, GreedyPatchScheduler,
+                                      Patch, PatchShape)
+
+    scheduler = GreedyPatchScheduler(config)
+    height = novel.intrinsics.height
+    width = novel.intrinsics.width
+
+    best_plan = None
+    k = config.macro_tile
+    while k >= 4:
+        shape = PatchShape(k, k, config.depth_bins)
+        h0, w0, h1, w1, full_bytes, _delta, delta_locs, bboxes = \
+            evaluate_candidate_loop(scheduler, novel, sources, height,
+                                    width, shape, near, far)
+        if (full_bytes <= config.buffer_bytes).all() or k == 4:
+            patches = []
+            total = 0.0
+            bbox_list = bboxes[:, 0].tolist()
+            bytes_list = full_bytes[:, 0].tolist()
+            bounds = np.stack([h0, h1, w0, w1], axis=-1).tolist()
+            for t, (th0, th1, tw0, tw1) in enumerate(bounds):
+                footprints = [FootprintRegion(view=v, row0=bb[0], row1=bb[1],
+                                              col0=bb[2], col1=bb[3])
+                              for v, bb in enumerate(bbox_list[t])]
+                patches.append(Patch(h0=th0, h1=th1, w0=tw0, w1=tw1,
+                                     d0=0, d1=config.depth_bins,
+                                     prefetch_bytes=bytes_list[t],
+                                     footprints=footprints))
+                total += patches[-1].prefetch_bytes
+            best_plan = FramePlan(patches=patches, total_prefetch_bytes=total,
+                                  candidate_histogram={shape: len(patches)},
+                                  image_height=height, image_width=width,
+                                  depth_bins=config.depth_bins)
+            break
+        k //= 2
+    assert best_plan is not None
+    return best_plan
 
 
 # ----------------------------------------------------------------------

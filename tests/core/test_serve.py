@@ -371,6 +371,34 @@ class TestValidation:
                 scheduler.submit(request, 0)
         assert scheduler.counters["submitted"] == 0
 
+    def test_python_requests_follow_the_integer_rule(self, store, models,
+                                                     direct_render):
+        """Requests built in Python get the JSON parser's integer rule:
+        fractions, booleans and strings are refused before planning, and
+        an integral float is read as an integer."""
+        scheduler = RenderScheduler(_config(store), store=store,
+                                    models=models)
+        for field, value in [("step", 2.5), ("chunk", 16.5),
+                             ("views", True), ("scene_seed", 1.5),
+                             ("step", "3"), ("chunk", False)]:
+            request = RenderRequest(request_id=f"{field}={value!r}",
+                                    scene="fern",
+                                    **dict(SCENE_KW, **{field: value}))
+            with pytest.raises(ServeError, match=f"{field} must be an "
+                                                 f"integer"):
+                scheduler.submit(request, 0)
+        assert scheduler.counters["submitted"] == 0
+
+        request = RenderRequest(request_id="float-step", scene="fern",
+                                quality="draft",
+                                **dict(SCENE_KW, step=8.0, chunk=16.0))
+        scheduler.submit(request, 0)
+        [response], _ = scheduler.drain(0)
+        assert response.status == "ok"
+        expected = direct_render(dataclasses.replace(request, step=8,
+                                                     chunk=16))
+        assert np.array_equal(response.image, expected)
+
     def test_duplicate_id_rejected(self, store, models):
         scheduler = RenderScheduler(_config(store), store=store,
                                     models=models)

@@ -1,22 +1,29 @@
 """Vectorised scheduler slab sweep vs the seed per-(slab, view) loops.
 
-The batched ``evaluate_candidate`` (one frustum unprojection for all
-depth slabs, one projection per view, sliced overlap pass) must
-reproduce the seed loop implementation bit-for-bit — the per-element
-arithmetic is unchanged, only the batching differs.  Also pins the
-vectorised ``rectangle_bank_load`` residue counting against a direct
-per-row evaluation for every layout.
+The batched ``evaluate_candidate`` (one corner lattice per candidate,
+unprojected once and projected once per view, corner-major area
+calculator, sliced overlap pass) must reproduce the seed loop
+implementation bit-for-bit — the per-element arithmetic is unchanged,
+only the batching differs — including on frames with partial edge
+tiles and with corners behind a source.  The array-built plans
+(``plan_frame``, ``fixed_partition``) must match the seed's
+object-built ones.  Also pins the vectorised ``rectangle_bank_load``
+residue counting against a direct per-row evaluation for every layout.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import hardware_rig
+from repro.core.pipeline import HardwareRig, hardware_rig
+from repro.geometry.transforms import camera_at
 from repro.hardware.interleave import (FeatureStore, FootprintRegion,
                                        LAYOUTS, _residue_counts,
                                        spatial_skew)
 from repro.hardware.scheduler import (DEFAULT_CANDIDATES,
-                                      GreedyPatchScheduler, SchedulerConfig)
+                                      GreedyPatchScheduler, PatchShape,
+                                      SchedulerConfig, _corner_lattice,
+                                      fixed_partition)
+from repro.hardware.units import KB
 from repro.perf import reference
 from repro.scenes.datasets import DatasetSpec
 
@@ -194,3 +201,110 @@ def test_simulation_identical_from_arrays_and_objects(rig):
     assert sim_arrays.energy_j == sim_objects.energy_j
     assert sim_arrays.pool_macs == sim_objects.pool_macs
     assert sim_arrays.prefetch_bytes == sim_objects.prefetch_bytes
+
+
+# ----------------------------------------------------------------------
+# Corner lattice: frames that do not tile, corners behind a source
+# ----------------------------------------------------------------------
+
+EDGE_SPEC = DatasetSpec("edge", width=140, height=100, fov_x_deg=50.0,
+                        near=2.0, far=6.0, rig="orbit", rig_distance=4.0)
+
+
+@pytest.fixture(scope="module")
+def edge_rig():
+    """A frame no candidate tiles exactly: the last tile row and column
+    are partial, as at LLFF's 756x1008."""
+    return hardware_rig(EDGE_SPEC, num_views=3, seed=0)
+
+
+@pytest.fixture(scope="module")
+def behind_rig(rig):
+    """The test rig plus a source inside the novel frustum, facing along
+    it: the near slabs' corners lie behind that source (depth <= 1e-9)
+    and the far slabs' corners in front of it."""
+    novel = rig.novel
+    eye = novel.center + 3.1 * novel.forward
+    inside = camera_at(eye, eye + novel.forward, novel.intrinsics)
+    ends = novel.unproject(np.zeros((2, 2)), np.array([rig.near, rig.far]))
+    depth = inside.world_to_camera(ends)[:, 2]
+    assert depth[0] <= 1e-9 < depth[1]
+    return HardwareRig(novel=novel, sources=list(rig.sources[:2]) + [inside],
+                       near=rig.near, far=rig.far)
+
+
+@pytest.mark.parametrize("shape", DEFAULT_CANDIDATES,
+                         ids=lambda s: f"{s.dh}x{s.dw}x{s.dd}")
+def test_corner_lattice_gathers_per_frustum_corners(edge_rig, shape):
+    """Each (slab, tile) frustum's 8 lattice corners are the world points
+    the per-frustum unprojection gives, in its corner order, including
+    the clipped edge tiles."""
+    height, width = 100, 140
+    h0, w0 = GreedyPatchScheduler()._tile_grid(height, width, shape)
+    h1 = np.minimum(h0 + shape.dh, height)
+    w1 = np.minimum(w0 + shape.dw, width)
+    n_slabs = 64 // shape.dd
+    depth_edges = edge_rig.near + (edge_rig.far - edge_rig.near) \
+        * (np.arange(n_slabs + 1) * shape.dd) / 64
+    points, corners = _corner_lattice(edge_rig.novel, height, width, shape,
+                                      depth_edges)
+    seed = reference._frustum_corners_slabs(edge_rig.novel, h0, w0, h1, w1,
+                                            depth_edges)
+    assert corners.shape == (8, seed.shape[0] * seed.shape[1])
+    assert np.array_equal(points[corners].transpose(1, 0, 2),
+                          seed.reshape(-1, 8, 3))
+
+
+@pytest.mark.parametrize("shape", DEFAULT_CANDIDATES,
+                         ids=lambda s: f"{s.dh}x{s.dw}x{s.dd}")
+@pytest.mark.parametrize("rig_name", ["edge_rig", "behind_rig"])
+def test_evaluate_candidate_matches_seed_at_lattice_edges(request, rig_name,
+                                                          shape):
+    rig = request.getfixturevalue(rig_name)
+    height = rig.novel.intrinsics.height
+    width = rig.novel.intrinsics.width
+    scheduler = GreedyPatchScheduler(SchedulerConfig())
+    fast = scheduler.evaluate_candidate(rig.novel, rig.sources, height,
+                                        width, shape, rig.near, rig.far)
+    loop = reference.evaluate_candidate_loop(scheduler, rig.novel,
+                                             rig.sources, height, width,
+                                             shape, rig.near, rig.far)
+    names = ("h0", "w0", "h1", "w1", "full_bytes", "delta_bytes",
+             "delta_locs", "bboxes")
+    for name, fast_arr, loop_arr in zip(names, fast, loop):
+        assert np.array_equal(fast_arr, loop_arr), \
+            f"{name} diverged for candidate {shape} on {rig_name}"
+
+
+# ----------------------------------------------------------------------
+# Array-built fixed partition vs the seed's object-built one
+# ----------------------------------------------------------------------
+
+PLAN_FIELDS = ("bounds", "prefetch_bytes", "fetch_regions", "fetch_counts",
+               "resident_regions", "resident_counts")
+
+
+@pytest.mark.parametrize("rig_name, buffer_kb, tile", [
+    ("rig", 256, 32),        # the default buffer holds 32 px tiles
+    ("rig", 32, 8),          # k halves until the footprints fit
+    ("rig", 8, 4),           # nothing fits: the 4 px floor
+    ("edge_rig", 256, 32),   # partial edge tiles
+])
+def test_fixed_partition_matches_seed_loop(request, rig_name, buffer_kb,
+                                           tile):
+    rig = request.getfixturevalue(rig_name)
+    config = SchedulerConfig(buffer_bytes=buffer_kb * KB)
+    fast = fixed_partition(rig.novel, rig.sources, rig.near, rig.far,
+                           config)
+    loop = reference.fixed_partition_loop(rig.novel, rig.sources, rig.near,
+                                          rig.far, config)
+    assert fast._patches is None     # arrays only, until .patches is read
+    assert list(fast.candidate_histogram) == [PatchShape(tile, tile, 64)]
+    assert fast.candidate_histogram == loop.candidate_histogram
+    assert fast.total_prefetch_bytes == loop.total_prefetch_bytes
+    for name in PLAN_FIELDS:
+        fast_arr = getattr(fast.arrays, name)
+        loop_arr = getattr(loop.arrays, name)
+        assert fast_arr.dtype == loop_arr.dtype, name
+        assert np.array_equal(fast_arr, loop_arr), name
+    assert fast.patches == loop.patches
