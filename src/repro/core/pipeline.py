@@ -23,6 +23,7 @@ from ..hardware.accelerator import (AcceleratorConfig, FrameSimulation,
                                     GenNerfAccelerator, variant_config)
 from ..hardware.gpu_model import (GpuModel, GpuSimulation, JETSON_TX2,
                                   RTX_2080TI)
+from ..hardware.scheduler import FramePlan
 from ..models.workload import RenderWorkload, typical_workload
 from ..scenes.datasets import DATASETS, DatasetSpec
 
@@ -156,16 +157,26 @@ def dataflow_ablation(dataset: str, num_views: int,
 
     ``workers`` shards each variant's frame simulation over the
     intra-frame pool; variant results are bit-identical at any width,
-    so the committed ablation artefacts do not depend on it."""
+    so the committed ablation artefacts do not depend on it.
+
+    A plan depends only on the rig, the workload and the variant's
+    partitioning (greedy or fixed, and its scheduler config), never on
+    the feature layout, so Var-1/2/3 share one fixed partition."""
     spec = DATASETS[dataset]
     rig = hardware_rig(spec, num_views, seed=seed)
     workload = typical_workload(height=spec.height, width=spec.width,
                                 num_views=num_views,
                                 points_per_ray=points_per_ray)
+    plans: Dict[tuple, FramePlan] = {}
     results: Dict[str, FrameSimulation] = {}
     for name in ("ours", "var1", "var2", "var3"):
         accelerator = GenNerfAccelerator(variant_config(name))
+        key = (accelerator.config.use_greedy_partition,
+               accelerator.config.scheduler)
+        if key not in plans:
+            plans[key] = accelerator.plan_frame(
+                rig.novel, rig.sources, rig.near, rig.far, workload)
         results[name] = accelerator.simulate_frame(
             workload, rig.novel, rig.sources, rig.near, rig.far,
-            workers=workers)
+            plan=plans[key], workers=workers)
     return results

@@ -18,8 +18,15 @@ fetched from all banks in parallel:
   — even a one-or-two-row epipolar stripe — spreads evenly.
 
 A patch footprint is a rectangle of feature locations per view; bank
-loads for a rectangle are computed exactly from residue counts (O(banks)
-per rectangle, not O(area)), which keeps full-frame schedules cheap.
+loads for a rectangle are computed exactly, never by enumerating its
+area.  The batched path the frame simulator runs
+(:meth:`FeatureStore.rectangle_bank_load_batched`) costs O(banks) per
+rectangle under every layout — the spatial layout reads a closed form
+from a per-call window table — which keeps full-frame schedules cheap.
+The scalar :meth:`FeatureStore.rectangle_bank_load` is the reference it
+is pinned against; its spatial branch stays O(rows), one window start
+per feature row.
+
 The resulting per-bank (bytes, activations) arrays feed
 :class:`repro.hardware.dram.DramModel`; their imbalance is what Fig. 12's
 Var-2/Var-3 ablation measures.
@@ -63,12 +70,43 @@ class FootprintRegion:
 
 
 def spatial_skew(num_banks: int) -> int:
-    """Row skew of the spatial interleaving; coprime-ish with the bank
-    count so vertical stripes also spread (3 works for 8/16 banks)."""
+    """Row skew of the spatial interleaving ``bank = (skew*row + col) mod B``.
+
+    Starts at ``max(1, B // 2 - 1)`` and steps down past divisors of B
+    (stopping at 1): 3 for 8 banks, 7 for 16, 15 for 32.  Only divisors
+    are rejected, so the skew is not guaranteed coprime with B — 10
+    banks get 4 (gcd 2), and a one-column stripe then reaches only 5 of
+    the 10 banks.  The accelerator's 8 DRAM banks and 16 prefetch-SRAM
+    banks get coprime skews, so a stripe spreads over all of them.
+    """
     skew = max(1, num_banks // 2 - 1)
     while num_banks % skew == 0 and skew > 1:
         skew -= 1
     return skew
+
+
+def _spatial_window_table(num_banks: int) -> np.ndarray:
+    """Per-bank remainder loads of up to one period of spatially
+    interleaved rows.
+
+    Row ``(s, p, c)`` of the returned (B*(B+1)*B, B) int64 table, at
+    index ``(s*(B+1) + p)*B + c``, counts for each bank how many of
+    ``p`` consecutive feature rows cover it with their length-``c``
+    column window when the first of those rows starts on bank ``s``
+    (each next row starts ``spatial_skew(B)`` banks later).
+    """
+    bank = np.arange(num_banks, dtype=np.int64)
+    # covers[t, c, b]: the length-c window starting on bank t covers b.
+    covers = ((bank[None, None, :] - bank[:, None, None]) % num_banks
+              < bank[None, :, None])
+    # Row j of a run whose first row starts on bank s starts on bank
+    # (s + skew*j) mod B.
+    row_starts = (bank[:, None]
+                  + spatial_skew(num_banks) * bank[None, :]) % num_banks
+    table = np.zeros((num_banks, num_banks + 1, num_banks, num_banks),
+                     dtype=np.int64)
+    np.cumsum(covers[row_starts], axis=1, out=table[:, 1:])
+    return table.reshape(-1, num_banks)
 
 
 def _residue_counts(start: int, stop: int, modulus: int) -> np.ndarray:
@@ -154,11 +192,9 @@ class FeatureStore:
         # bank = (skew * row + col) mod num_banks.  Within one feature
         # row the columns sweep residues contiguously: every row loads
         # ``cols // B`` on every bank plus one extra on the ``cols % B``
-        # residues starting at its own offset.  Counting the per-row
-        # window starts with a bincount collapses the former per-row
-        # Python loop (the fig11/fig12 hot path — this runs for every
-        # (patch, view) of a frame) into three array passes, with
-        # per-element arithmetic identical to the looped version.
+        # residues starting at its own offset.  The window starts are
+        # counted one per feature row, with a bincount — the direct
+        # form the batched closed form is pinned against.
         skew = spatial_skew(num_banks)
         base, remainder = divmod(cols, num_banks)
         loads += rows * base
@@ -197,7 +233,11 @@ class FeatureStore:
         This is the frame simulator's hot path: an 800x800 frame plan
         holds ~10^5 (patch, view) rectangles, and the former per-patch
         Python loop over :func:`bank_load_for_footprints` dominated
-        ``simulate_frame`` (see ``docs/performance.md``).
+        ``simulate_frame`` (see ``docs/performance.md``).  Every layout
+        costs O(num_banks) per rectangle, whatever its area: the
+        spatial layout gathers two rows of :func:`_spatial_window_table`
+        per rectangle, a table of B*(B+1)*B rows of B ints built per
+        call in well under a millisecond.
         """
         regions = np.asarray(regions, dtype=np.int64).reshape(-1, 5)
         n = regions.shape[0]
@@ -256,48 +296,24 @@ class FeatureStore:
             acts[idx, bank] = rows[idx]
             return loads, acts
 
-        # spatial_interleaved — same three-pass structure as the scalar
-        # method: a full-sweep base load on every bank, then the
-        # remainder window counted by a bincount of per-row window
-        # starts and a doubled-cumsum circular windowed sum.  Rows are
-        # flattened across all remainder-carrying regions at once with
-        # the repeat/arange segment trick (as in trace.py's replay).
-        skew = spatial_skew(num_banks)
-        base = cols // num_banks
-        remainder = cols % num_banks
-        loads += np.where(valid, rows * base, 0)[:, None]
-        sel = np.flatnonzero(valid & (remainder > 0))
-        if sel.size:
-            sel_rows = rows[sel]
-            offsets = np.concatenate(
-                [[0], np.cumsum(sel_rows)]).astype(np.int64)
-            total = int(offsets[-1])
-            flat_rows = (np.arange(total, dtype=np.int64)
-                         - np.repeat(offsets[:-1], sel_rows)
-                         + np.repeat(row0[sel], sel_rows))
-            region_of = np.repeat(np.arange(sel.size, dtype=np.int64),
-                                  sel_rows)
-            starts = (skew * flat_rows
-                      + np.repeat(col0[sel], sel_rows)) % num_banks
-            start_hist = np.bincount(
-                region_of * num_banks + starts,
-                minlength=sel.size * num_banks).reshape(sel.size,
-                                                        num_banks)
-            csum = np.concatenate(
-                [np.zeros((sel.size, 1), dtype=np.int64),
-                 np.cumsum(np.concatenate([start_hist, start_hist],
-                                          axis=1), axis=1)], axis=1)
-            idx = np.arange(num_banks, dtype=np.int64) + num_banks
-            hi = csum[:, idx + 1]
-            lo = np.take_along_axis(
-                csum, idx[None, :] - remainder[sel, None] + 1, axis=1)
-            extra = hi - lo
-            loads[sel] += extra
-            acts[sel] = np.where(base[sel, None] > 0,
-                                 sel_rows[:, None], extra)
-        full_rows = np.flatnonzero(valid & (remainder == 0) & (base > 0))
-        if full_rows.size:
-            acts[full_rows] = rows[full_rows, None]
+        # spatial_interleaved, in closed form.  Every row loads
+        # ``cols // B`` on every bank plus one on each bank of its
+        # length-``cols % B`` window.  Row r's window starts on bank
+        # (skew*r + col0) mod B, which repeats every B rows, so a
+        # region's windows are ``rows // B`` whole periods plus one
+        # partial period, each a whole row of the window table.  An
+        # empty span has no rows or a zero-length window: it loads
+        # nothing.
+        base, remainder = np.divmod(cols, num_banks)
+        periods, partial = np.divmod(rows, num_banks)
+        first = (spatial_skew(num_banks) * row0 + col0) % num_banks
+        whole = (first * (num_banks + 1) + num_banks) * num_banks + remainder
+        part = (first * (num_banks + 1) + partial) * num_banks + remainder
+        windows = _spatial_window_table(num_banks)
+        extra = (periods[:, None] * windows.take(whole, axis=0)
+                 + windows.take(part, axis=0))
+        loads = (rows * base)[:, None] + extra
+        acts = np.where(base[:, None] > 0, rows[:, None], extra)
         return loads, acts
 
 

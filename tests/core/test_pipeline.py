@@ -5,6 +5,9 @@ import pytest
 
 from repro.core.pipeline import (CoDesignPipeline, dataflow_ablation,
                                  hardware_rig)
+from repro.hardware import accelerator as accelerator_module
+from repro.hardware.accelerator import GenNerfAccelerator, variant_config
+from repro.models.workload import typical_workload
 from repro.scenes.datasets import DATASETS, DatasetSpec
 
 
@@ -70,3 +73,33 @@ def test_dataflow_ablation_runs_small(monkeypatch):
     assert set(results) == {"ours", "var1", "var2", "var3"}
     assert results["ours"].total_time_s \
         <= min(r.total_time_s for r in results.values()) * 1.01
+
+
+@pytest.mark.parametrize("num_views", [2, 4])
+def test_dataflow_ablation_plans_the_fixed_partition_once(monkeypatch,
+                                                          num_views):
+    """Var-1/2/3 differ only in feature layout, which never enters the
+    plan: one fixed partition serves all three, and every simulated
+    field equals planning each variant on its own."""
+    monkeypatch.setitem(DATASETS, "small", SMALL_SPEC)
+    calls = []
+    planner = accelerator_module.fixed_partition
+
+    def counting_fixed_partition(*args, **kwargs):
+        calls.append(args)
+        return planner(*args, **kwargs)
+
+    monkeypatch.setattr(accelerator_module, "fixed_partition",
+                        counting_fixed_partition)
+    results = dataflow_ablation("small", num_views=num_views)
+    assert len(calls) == 1
+
+    rig = hardware_rig(SMALL_SPEC, num_views)
+    workload = typical_workload(height=SMALL_SPEC.height,
+                                width=SMALL_SPEC.width,
+                                num_views=num_views, points_per_ray=64)
+    for name, shared in results.items():
+        alone = GenNerfAccelerator(variant_config(name)).simulate_frame(
+            workload, rig.novel, rig.sources, rig.near, rig.far)
+        assert shared == alone, name
+    assert len(calls) == 4
