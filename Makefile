@@ -24,8 +24,8 @@ bench-e2e: ## end-to-end benches only (render_rays + scheduler slab sweep)
 bench-train: ## training benches only (fused-Adam/GT-cache fast path vs seed loop)
 	$(HARNESS) --only training_step_e2e_gen_nerf training_step_e2e_ibrnet autograd_training_step_mlp
 
-bench-shard: ## intra-frame sharding benches (sharded vs sequential frame render/sim)
-	$(HARNESS) --only frame_sharded frame_sim_sharded
+bench-shard: ## intra-frame render sharding bench (sharded vs sequential frame render)
+	$(HARNESS) --only frame_sharded
 
 bench-serve: ## serving bench only (coalesced replay vs sequential serving)
 	$(HARNESS) --only serve_replay

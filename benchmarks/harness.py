@@ -289,43 +289,6 @@ def bench_frame_sharded():
     return sharded, sequential
 
 
-def bench_frame_sim_sharded():
-    """The ``accel_frame_sim`` frame, sharded vs sequential.
-
-    Fast path: ``simulate_frame(workers=None)`` — the plan split at
-    patch boundaries and fanned over the frame pool.  Loop reference:
-    the identical single-pass call (``workers=1``).  Both share one
-    precomputed plan and return bit-identical results at any width
-    (``tests/hardware/test_frame_sim_sharded.py``); on a single-core
-    container the fast path resolves to the sequential one.
-    """
-    from repro.core.pipeline import hardware_rig
-    from repro.hardware import GenNerfAccelerator
-    from repro.models.workload import typical_workload
-    from repro.scenes.datasets import DatasetSpec
-
-    spec = DatasetSpec("bench", width=320, height=240, fov_x_deg=50.0,
-                       near=2.0, far=6.0, rig="orbit", rig_distance=4.0)
-    rig = hardware_rig(spec, num_views=6, seed=0)
-    workload = typical_workload(height=240, width=320, num_views=6)
-    sharded_accel = GenNerfAccelerator()
-    seq_accel = GenNerfAccelerator()
-    plan = sharded_accel.plan_frame(rig.novel, rig.sources, rig.near,
-                                    rig.far, workload)
-
-    def sharded():
-        return sharded_accel.simulate_frame(workload, rig.novel,
-                                            rig.sources, rig.near, rig.far,
-                                            plan=plan, workers=None)
-
-    def sequential():
-        return seq_accel.simulate_frame(workload, rig.novel, rig.sources,
-                                        rig.near, rig.far, plan=plan,
-                                        workers=1)
-
-    return sharded, sequential
-
-
 def bench_scheduler_slab_sweep():
     """Full greedy frame partition of a 256x192 frame with 6 views.
 
@@ -617,7 +580,6 @@ BENCHES = {
     "getitem_backward_gather_16k": bench_getitem_backward,
     "render_rays_e2e_r1024": bench_render_rays_e2e,
     "frame_sharded": bench_frame_sharded,
-    "frame_sim_sharded": bench_frame_sim_sharded,
     "scheduler_slab_sweep": bench_scheduler_slab_sweep,
     "accel_frame_sim": bench_accel_frame_sim,
     "serve_replay": bench_serve_replay,

@@ -55,9 +55,9 @@ def _add_common_options(parser: argparse.ArgumentParser,
                         scale: bool = True) -> None:
     parser.add_argument("--workers", type=int, default=None,
                         help="worker count for the variant fan-out AND "
-                             "intra-frame sharding (renders and frame "
-                             "simulations split across cores when the "
-                             "outer fan-out is sequential; results are "
+                             "intra-frame render sharding (a frame's ray "
+                             "chunks split across cores when the outer "
+                             "fan-out is sequential; results are "
                              "byte-identical at any width). Default: "
                              "REPRO_WORKERS env, then CPU count; "
                              "<= 0 forces fully sequential runs")

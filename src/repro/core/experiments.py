@@ -430,54 +430,40 @@ def _table3_unit(method: str, views: int, train_steps: int,
 # ----------------------------------------------------------------------
 # Fig. 10 / Fig. 11 / Table 4 — accelerator vs devices
 # ----------------------------------------------------------------------
-def _fig10_unit(seed: int,
-                workers: Optional[int] = 1) -> Dict[str, Dict[str, float]]:
-    """FPS of Gen-NeRF accelerator vs RTX 2080Ti vs TX2 on 3 datasets.
-
-    ``workers`` shards each frame simulation intra-frame (bit-identical
-    at any width); the registry threads ``ctx.workers`` through when
-    this unit runs alone, and the nested-pool guard keeps it sequential
-    when it ships to a ``run_variants`` worker instead."""
+def _fig10_unit(seed: int) -> Dict[str, Dict[str, float]]:
+    """FPS of Gen-NeRF accelerator vs RTX 2080Ti vs TX2 on 3 datasets."""
     pipeline = CoDesignPipeline()
-    return {dataset: pipeline.fps_comparison(dataset, seed=seed,
-                                             workers=workers)
+    return {dataset: pipeline.fps_comparison(dataset, seed=seed)
             for dataset in PROFILE_DATASETS}
 
 
-def _fig11_unit(axis: str, value: int, seed: int,
-                workers: Optional[int] = 1) -> Dict[str, float]:
+def _fig11_unit(axis: str, value: int, seed: int) -> Dict[str, float]:
     """One Fig. 11 sweep point (a view count or a point count).
 
     Builds its own :class:`CoDesignPipeline` — the simulators are pure
     functions of the workload (memoisation only saves time), so a
     fresh pipeline per unit returns exactly the shared-pipeline values
-    and the unit can ship to a worker process.  ``workers`` shards the
-    accelerator simulation within the unit; inside a ``run_variants``
-    worker the guard resolves it back to 1.
+    and the unit can ship to a worker process.
     """
     pipeline = CoDesignPipeline()
     if axis == "views":
         row = pipeline.fps_comparison("nerf_synthetic", num_views=value,
-                                      seed=seed, workers=workers)
+                                      seed=seed)
         row["num_views"] = value
     elif axis == "points":
         row = pipeline.fps_comparison("nerf_synthetic",
-                                      points_per_ray=value, seed=seed,
-                                      workers=workers)
+                                      points_per_ray=value, seed=seed)
         row["points_per_ray"] = value
     else:
         raise KeyError(f"unknown fig11 axis {axis!r}")
     return row
 
 
-def _table4_unit(seed: int,
-                 workers: Optional[int] = 1) -> List[Dict[str, object]]:
+def _table4_unit(seed: int) -> List[Dict[str, object]]:
     """Device spec table with our measured Gen-NeRF row alongside the
-    paper's reported rows.  ``workers`` shards the one simulated frame
-    (bit-identical at any width)."""
+    paper's reported rows."""
     pipeline = CoDesignPipeline()
-    sim = pipeline.simulate_accelerator("nerf_synthetic", seed=seed,
-                                        workers=workers)
+    sim = pipeline.simulate_accelerator("nerf_synthetic", seed=seed)
     rows: List[Dict[str, object]] = [{
         "device": "Gen-NeRF (simulated)",
         "sram_mb": 0.8,
@@ -507,14 +493,12 @@ def _table4_unit(seed: int,
 # ----------------------------------------------------------------------
 # Fig. 12 — dataflow / storage ablation
 # ----------------------------------------------------------------------
-def _fig12_unit(views: int, seed: int,
-                workers: Optional[int] = 1) -> Dict[str, Dict[str, float]]:
+def _fig12_unit(views: int, seed: int) -> Dict[str, Dict[str, float]]:
     """One view count's {variant: latency/traffic row} — independent
-    per view count, so the registry fans the sweep out.  ``workers``
-    shards each variant's frame simulation within the unit."""
+    per view count, so the registry fans the sweep out."""
     per_variant = {}
     for name, sim in dataflow_ablation("nerf_synthetic", views,
-                                       seed=seed, workers=workers).items():
+                                       seed=seed).items():
         per_variant[name] = {
             "data_s": sim.fetch_time_s,
             "compute_s": sim.compute_time_s,

@@ -2,26 +2,26 @@
 
 :func:`repro.core.run_variants` parallelises *between* experiment
 variants; this module parallelises *within* one frame.  The renderer's
-chunk loops (:mod:`repro.models.renderer`) and the accelerator frame
-simulation (:meth:`repro.hardware.GenNerfAccelerator.simulate_frame`)
-both decompose a frame into independent work units whose boundaries are
-computed identically to the sequential path, so fanning the units over
-a process pool and stitching results in task order reproduces the
-sequential output **byte for byte** — the same discipline that keeps
-``run_variants`` artefacts stable.
+chunk loops (:mod:`repro.models.renderer`) and the render service's
+dispatches (:mod:`repro.core.serve`) decompose a frame into
+independent work units whose boundaries are computed identically to
+the sequential path, so fanning the units over a process pool and
+stitching results in task order reproduces the sequential output
+**byte for byte** — the same discipline that keeps ``run_variants``
+artefacts stable.
 
 Design points (the worker-pool chunked-fetch idiom, adapted to heavy
 per-task state):
 
 * **Per-worker payload, initialised once.**  ``map_chunks(fn, payload,
-  tasks)`` ships ``payload`` (model + encoded feature maps, or the
-  accelerator simulator) to each worker through the pool *initializer*,
-  not with every task — chunks carry only their small descriptors
-  (slice bounds, per-chunk uniforms, a shard of plan arrays).
+  tasks)`` ships ``payload`` (model + encoded feature maps) to each
+  worker through the pool *initializer*, not with every task — chunks
+  carry only their small descriptors (slice bounds, per-chunk
+  uniforms).
 * **Pool persistence.**  The executor survives across calls keyed by
   (worker count, payload identity): repeated renders of the same
-  scene/model — an eval ladder, a bench loop, the future ``serve``
-  daemon — reuse the warm workers instead of re-spawning and
+  scene/model — an eval ladder, a bench loop, the ``serve`` daemon's
+  dispatches — reuse the warm workers instead of re-spawning and
   re-shipping state.  A payload or width change retires the old pool.
 * **Nested-pool guard.**  Every repro pool worker (here *and* in
   ``run_variants``) marks itself via the ``REPRO_POOL_WORKER`` env

@@ -108,16 +108,14 @@ class CoDesignPipeline:
     def simulate_accelerator(self, dataset: str, num_views: int = 6,
                              points_per_ray: float = 64,
                              seed: int = 0,
-                             workload: Optional[RenderWorkload] = None,
-                             workers: Optional[int] = 1
+                             workload: Optional[RenderWorkload] = None
                              ) -> FrameSimulation:
         spec = DATASETS[dataset]
         rig = hardware_rig(spec, num_views, seed=seed)
         load = workload or self.dataset_workload(dataset, num_views,
                                                  points_per_ray)
         return self.accelerator.simulate_frame(load, rig.novel, rig.sources,
-                                               rig.near, rig.far,
-                                               workers=workers)
+                                               rig.near, rig.far)
 
     def simulate_gpu(self, device: str, dataset: str, num_views: int = 6,
                      points_per_ray: float = 64,
@@ -128,15 +126,11 @@ class CoDesignPipeline:
         return self._gpus[device].simulate_frame(load)
 
     def fps_comparison(self, dataset: str, num_views: int = 6,
-                       points_per_ray: float = 64, seed: int = 0,
-                       workers: Optional[int] = 1) -> Dict[str, float]:
-        """Fig. 10-style row: accelerator vs both GPUs on one dataset.
-
-        ``workers`` shards the accelerator frame simulation
-        (bit-identical at any width; the GPU rooflines are closed-form
-        and stay in-process)."""
+                       points_per_ray: float = 64,
+                       seed: int = 0) -> Dict[str, float]:
+        """Fig. 10-style row: accelerator vs both GPUs on one dataset."""
         accel = self.simulate_accelerator(dataset, num_views, points_per_ray,
-                                          seed=seed, workers=workers)
+                                          seed=seed)
         gpu = self.simulate_gpu("rtx2080ti", dataset, num_views,
                                 points_per_ray)
         tx2 = self.simulate_gpu("tx2", dataset, num_views, points_per_ray)
@@ -150,14 +144,9 @@ class CoDesignPipeline:
 
 
 def dataflow_ablation(dataset: str, num_views: int,
-                      points_per_ray: float = 64, seed: int = 0,
-                      workers: Optional[int] = 1
+                      points_per_ray: float = 64, seed: int = 0
                       ) -> Dict[str, FrameSimulation]:
     """Fig. 12: ours vs Var-1/2/3 on one dataset/view-count point.
-
-    ``workers`` shards each variant's frame simulation over the
-    intra-frame pool; variant results are bit-identical at any width,
-    so the committed ablation artefacts do not depend on it.
 
     A plan depends only on the rig, the workload and the variant's
     partitioning (greedy or fixed, and its scheduler config), never on
@@ -178,5 +167,5 @@ def dataflow_ablation(dataset: str, num_views: int,
                 rig.novel, rig.sources, rig.near, rig.far, workload)
         results[name] = accelerator.simulate_frame(
             workload, rig.novel, rig.sources, rig.near, rig.far,
-            plan=plans[key], workers=workers)
+            plan=plans[key])
     return results

@@ -187,22 +187,13 @@ def all_experiments() -> List[Experiment]:
     return list(_REGISTRY.values())
 
 
-def _single_unit(function: Callable, *param_names: str,
-                 thread_workers: bool = False
+def _single_unit(function: Callable, *param_names: str
                  ) -> Callable[[RunContext, Dict[str, Any], Any],
                                List[Task]]:
     """Units hook for one-body experiments: a single task carrying the
-    named parameters.
-
-    ``thread_workers`` forwards ``ctx.workers`` to the unit as
-    ``workers=`` — a single task always resolves to the sequential
-    outer path, so the unit is free to spend the whole budget on
-    *intra-frame* sharding (``None`` autodetects inside the unit)."""
+    named parameters."""
     def units(ctx, params, shared):
-        kwargs = {name: params[name] for name in param_names}
-        if thread_workers:
-            kwargs["workers"] = ctx.workers
-        return [(function, kwargs)]
+        return [(function, {name: params[name] for name in param_names})]
 
     return units
 
@@ -452,7 +443,7 @@ register(Experiment(
     description="Gen-NeRF accelerator FPS vs RTX 2080Ti and Jetson TX2 "
                 "on the three datasets.",
     params={"seed": 0},
-    units=_single_unit(E._fig10_unit, "seed", thread_workers=True),
+    units=_single_unit(E._fig10_unit, "seed"),
     reduce=_first, render=_render_fig10))
 
 
@@ -460,17 +451,12 @@ register(Experiment(
 # Fig. 11 — scalability sweeps
 # ----------------------------------------------------------------------
 def _fig11_units(ctx, params, shared) -> List[Task]:
-    # ``workers=ctx.workers`` reaches inside each sweep point: when the
-    # sweep itself fans out over run_variants the nested-pool guard
-    # resolves it back to 1 in the workers, and when the sweep runs
-    # sequentially (1-CPU host, REPRO_WORKERS=1) intra-frame sharding
-    # resolves to 1 as well — the knob only bites where cores are free.
     seed = params["seed"]
     tasks = [(E._fig11_unit, dict(axis="views", value=int(views),
-                                  seed=seed, workers=ctx.workers))
+                                  seed=seed))
              for views in params["view_counts"]]
     tasks += [(E._fig11_unit, dict(axis="points", value=int(points),
-                                   seed=seed, workers=ctx.workers))
+                                   seed=seed))
               for points in params["point_counts"]]
     return tasks
 
@@ -541,7 +527,7 @@ register(Experiment(
     description="Device spec sheet: our simulated Gen-NeRF row next to "
                 "the paper's reported devices.",
     params={"seed": 0},
-    units=_single_unit(E._table4_unit, "seed", thread_workers=True),
+    units=_single_unit(E._table4_unit, "seed"),
     reduce=_first, render=_render_table4))
 
 
@@ -549,8 +535,7 @@ register(Experiment(
 # Fig. 12 — dataflow / storage ablation
 # ----------------------------------------------------------------------
 def _fig12_units(ctx, params, shared) -> List[Task]:
-    return [(E._fig12_unit, dict(views=views, seed=params["seed"],
-                                 workers=ctx.workers))
+    return [(E._fig12_unit, dict(views=views, seed=params["seed"]))
             for views in params["view_counts"]]
 
 

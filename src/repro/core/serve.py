@@ -235,9 +235,7 @@ class RenderRequest:
         if _integer("views", self.views) < 1:
             raise ServeError(f"views must be >= 1, got {self.views}")
         _integer("scene_seed", self.scene_seed)
-        if not 0.0 < float(self.image_scale) <= 1.0:
-            raise ServeError(f"image_scale must be in (0, 1], "
-                             f"got {self.image_scale}")
+        _image_scale(self.image_scale)
         if self.chunk is not None and _integer("chunk", self.chunk) < 1:
             raise ServeError(f"chunk must be >= 1, got {self.chunk}")
 
@@ -1096,6 +1094,17 @@ def _integer(name: str, value: Any) -> int:
     return int(value)
 
 
+def _image_scale(value: Any) -> float:
+    """The request's ``image_scale``, for the JSON parser and
+    :meth:`RenderRequest.validate` alike: a real number in (0, 1];
+    booleans, strings, NaN and infinities are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not 0.0 < value <= 1.0:
+        raise ServeError(f"image_scale must be a number in (0, 1], "
+                         f"got {value!r}")
+    return float(value)
+
+
 def request_from_json(payload: Mapping[str, Any],
                       default_id: str) -> RenderRequest:
     """Build (and validate) a request from one JSON-lines object."""
@@ -1112,7 +1121,7 @@ def request_from_json(payload: Mapping[str, Any],
         scene=str(payload["scene"]),
         quality=str(payload.get("quality", "standard")),
         step=_integer("step", payload.get("step", 8)),
-        image_scale=float(payload.get("image_scale", 1 / 16)),
+        image_scale=_image_scale(payload.get("image_scale", 1 / 16)),
         views=_integer("views", payload.get("views", 4)),
         scene_seed=_integer("scene_seed", payload.get("scene_seed", 1)),
         chunk=(None if payload.get("chunk") is None

@@ -31,7 +31,7 @@ from .pe_pool import PePool, PePoolConfig, PoolExecution, PoolExecutionBatch
 from .preprocessing import PreprocessingConfig, PreprocessingUnit
 from .scheduler import (DEFAULT_CANDIDATES, FramePlan, GreedyPatchScheduler,
                         Patch, PatchShape, PlanArrays, SchedulerConfig,
-                        fixed_partition, split_plan_arrays)
+                        fixed_partition)
 from .special_function import SfuConfig, SpecialFunctionUnit
 from .sram import PrefetchDoubleBuffer, SramBank, SramConfig
 from .systolic import (GemmShape, SystolicConfig, gemm_cycles,
@@ -60,7 +60,7 @@ __all__ = [
     "PePool", "PePoolConfig", "PoolExecution", "PoolExecutionBatch",
     "PreprocessingConfig", "PreprocessingUnit",
     "GreedyPatchScheduler", "SchedulerConfig", "PatchShape", "Patch",
-    "FramePlan", "PlanArrays", "fixed_partition", "split_plan_arrays",
+    "FramePlan", "PlanArrays", "fixed_partition",
     "DEFAULT_CANDIDATES",
     "SfuConfig", "SpecialFunctionUnit",
     "PrefetchDoubleBuffer", "SramBank", "SramConfig",

@@ -38,7 +38,7 @@ from .dram import DramConfig, DramModel
 from .engine import EngineConfig, RenderingEngine
 from .interleave import FeatureStore, balance_factors, batched_bank_load
 from .scheduler import (FramePlan, GreedyPatchScheduler, SchedulerConfig,
-                        _ordered_sum, fixed_partition, split_plan_arrays)
+                        _ordered_sum, fixed_partition)
 from .sram import PrefetchDoubleBuffer, SramConfig
 from .units import ACCELERATOR_FREQ_HZ, DEFAULT_ENERGY, EnergyTable
 
@@ -139,8 +139,7 @@ class GenNerfAccelerator:
     def simulate_frame(self, workload: RenderWorkload, novel: Camera,
                        sources: Sequence[Camera], near: float, far: float,
                        keep_plan: bool = False,
-                       plan: Optional[FramePlan] = None,
-                       workers: Optional[int] = 1) -> FrameSimulation:
+                       plan: Optional[FramePlan] = None) -> FrameSimulation:
         """Simulate rendering one frame of ``workload`` from ``novel``.
 
         The whole frame is evaluated as one grouped array pass — all
@@ -157,21 +156,6 @@ class GenNerfAccelerator:
         (e.g. to amortise scheduling across workload sweeps over the
         same camera rig); by default the configured scheduler plans the
         frame first.
-
-        ``workers`` shards the grouped pass itself across cores:
-        the plan splits at patch boundaries
-        (:func:`repro.hardware.split_plan_arrays`) and each contiguous
-        group runs the bank-load / DRAM-service passes in a
-        :mod:`repro.core.frame_pool` worker; per-patch arrays come back
-        in group order and the engine compute runs in the parent over
-        the full concatenation, so every reduction (and the compute
-        memo cache's first-occurrence semantics) sees the same frame
-        order as the sequential pass — still bit-identical to the seed
-        loop at any worker count
-        (``tests/hardware/test_frame_sim_sharded.py``).
-        The default 1 keeps the historical single-pass path;
-        ``None`` autodetects (``REPRO_WORKERS``, then CPU count) and
-        stays sequential inside a ``run_variants`` worker.
         """
         if len(sources) != workload.num_views:
             raise ValueError(f"workload expects {workload.num_views} views, "
@@ -199,7 +183,7 @@ class GenNerfAccelerator:
             (fetch_times, compute_times, pool_macs, pool_busy_cycles,
              dram_energy_pj, sram_bytes, sfu_ops) = self._simulate_patches(
                 workload, plan, store, sram_store, sram_banks,
-                points_per_cell, freq, workers=workers)
+                points_per_cell, freq)
         else:
             fetch_times = np.empty(0)
             compute_times = np.empty(0)
@@ -276,7 +260,7 @@ class GenNerfAccelerator:
     def _simulate_patches(self, workload: RenderWorkload, plan: FramePlan,
                           store: FeatureStore, sram_store: FeatureStore,
                           sram_banks: int, points_per_cell: float,
-                          freq: float, workers: Optional[int] = 1):
+                          freq: float):
         """The per-patch portion of :meth:`simulate_frame`, batched.
 
         One grouped array pass replaces
@@ -294,50 +278,27 @@ class GenNerfAccelerator:
            exactly (first-occurrence representatives, cache persistence
            across frames) around the array-valued compute formulas.
 
-        ``workers`` > 1 shards steps 1-2: the plan splits into
-        contiguous patch groups and each group's bank loads and DRAM
-        service run in a frame-pool worker (both models are row-wise
-        per patch, so per-patch outputs are bit-equal regardless of
-        grouping).  Step 3 stays in the parent and runs over the
-        **full** concatenation of the groups' results: the engine memo
-        cache keys round the SRAM balance, and "first occurrence wins"
-        must mean first in the *frame* — a worker-local compute pass
-        could elect a different representative for a colliding key and
-        drift in the last float bits (Var-3's uneven balances do
-        exactly that).  Parent-side compute also keeps ``self.engine``'s
-        cache warm across frames, as the equivalence tests pin.  Scalar
-        totals reduce with the same left-to-right :func:`_ordered_sum`
-        over the full arrays — never per-group partial sums, which
-        would reassociate the float additions — so every output bit
-        matches the seed loop's ``+=`` chain at any worker count.
+        Scalar totals reduce with the left-to-right :func:`_ordered_sum`
+        over the full per-patch arrays, so every output bit matches the
+        seed loop's ``+=`` chain.
         """
-        from ..core import frame_pool  # function-level: core imports us
         # Both planners (plan_frame and fixed_partition) build
         # struct-of-arrays plans, which feed the batched bank loads with
         # no per-patch object walk at all; object-built plans (the seed
         # planners in repro.perf.reference) pack lazily through
         # ``plan.arrays``.
         arrays = plan.arrays
-        count = frame_pool.resolve_workers(arrays.num_patches, workers)
-        groups = split_plan_arrays(arrays, count)
-        # The heavy, call-stable object travels in the worker payload
-        # (the simulator, for its DRAM model and config); the cheap
-        # per-call descriptors (plan shard, store geometry, bank count)
-        # ride with each task, so repeated ``simulate_frame`` calls on
-        # one rig keep the pool warm.
-        state = (self,)
-        if len(groups) <= 1:
-            parts = [_prefetch_patch_group(state, arrays, store,
-                                           sram_store, sram_banks)]
-        else:
-            tasks = [(group, store, sram_store, sram_banks)
-                     for group in groups]
-            parts = frame_pool.map_chunks(_prefetch_patch_group, state,
-                                          tasks, workers)
-        fetch_times = np.concatenate([part[0] for part in parts])
-        dram_energy_pj = _ordered_sum(
-            np.concatenate([part[1] for part in parts]))
-        balances = np.concatenate([part[2] for part in parts])
+        bank_bytes, bank_acts = batched_bank_load(
+            store, arrays.fetch_regions, arrays.fetch_counts,
+            self.config.dram.num_banks)
+        dram_stats = self.dram.service_batch(bank_bytes, bank_acts)
+        fetch_times = dram_stats.service_time_s
+        dram_energy_pj = _ordered_sum(dram_stats.energy_pj)
+
+        sram_bank_bytes, _ = batched_bank_load(
+            sram_store, arrays.resident_regions, arrays.resident_counts,
+            sram_banks)
+        balances = balance_factors(sram_bank_bytes)
 
         bounds = arrays.bounds
         num_rays = (bounds[:, 1] - bounds[:, 0]) \
@@ -355,32 +316,6 @@ class GenNerfAccelerator:
         sfu_ops = _ordered_sum(self.engine.sfu.ops_for_points(num_points))
         return (fetch_times, compute_times, pool_macs, pool_busy_cycles,
                 dram_energy_pj, sram_bytes, sfu_ops)
-
-
-def _prefetch_patch_group(state, arrays, store: FeatureStore,
-                          sram_store: FeatureStore, sram_banks: int):
-    """Steps 1-2 of :meth:`GenNerfAccelerator._simulate_patches` for one
-    contiguous patch group; returns three per-patch arrays
-    ``(fetch_times, energy_pj, balances)``.
-
-    Module-level so it pickles for the frame pool.  It deliberately
-    stops short of the engine compute: that step is memoised with
-    frame-global first-occurrence semantics and runs in the parent
-    (see :meth:`GenNerfAccelerator._simulate_patches`).
-    """
-    accel, = state
-    cfg = accel.config
-
-    bank_bytes, bank_acts = batched_bank_load(
-        store, arrays.fetch_regions, arrays.fetch_counts,
-        cfg.dram.num_banks)
-    dram_stats = accel.dram.service_batch(bank_bytes, bank_acts)
-
-    sram_bank_bytes, _ = batched_bank_load(
-        sram_store, arrays.resident_regions, arrays.resident_counts,
-        sram_banks)
-    balances = balance_factors(sram_bank_bytes)
-    return (dram_stats.service_time_s, dram_stats.energy_pj, balances)
 
 
 # Fig. 12 ablation variants -------------------------------------------------

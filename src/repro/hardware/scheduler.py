@@ -140,48 +140,6 @@ class PlanArrays:
         return self.bounds.shape[0]
 
 
-def split_plan_arrays(arrays: PlanArrays, shards: int) -> List[PlanArrays]:
-    """Split a plan into ``shards`` contiguous patch groups.
-
-    The intra-frame sharded simulator
-    (:meth:`repro.hardware.GenNerfAccelerator.simulate_frame`) fans one
-    group per worker and concatenates the per-patch results back in
-    group order.  Groups cut only *between* patches: each patch's
-    region-row segment (``fetch_counts[i]`` rows of ``fetch_regions``,
-    likewise resident) travels whole with its patch, so every group is
-    itself a well-formed :class:`PlanArrays` and the per-patch batched
-    models — bank bincounts, DRAM service, balance factors, engine
-    compute — see exactly the rows they saw in the unsharded pass.
-    Group sizes follow ``np.array_split`` convention (first
-    ``P % shards`` groups take one extra patch); ``shards`` clamps to
-    ``[1, num_patches]`` and a clamp to 1 returns ``[arrays]`` whole.
-    """
-    total = arrays.num_patches
-    shards = max(1, min(int(shards), max(total, 1)))
-    if shards <= 1:
-        return [arrays]
-    fetch_offsets = np.concatenate(
-        [[0], np.cumsum(arrays.fetch_counts)]).astype(np.int64)
-    resident_offsets = np.concatenate(
-        [[0], np.cumsum(arrays.resident_counts)]).astype(np.int64)
-    base, extra = divmod(total, shards)
-    groups: List[PlanArrays] = []
-    start = 0
-    for index in range(shards):
-        stop = start + base + (1 if index < extra else 0)
-        groups.append(PlanArrays(
-            bounds=arrays.bounds[start:stop],
-            prefetch_bytes=arrays.prefetch_bytes[start:stop],
-            fetch_regions=arrays.fetch_regions[
-                fetch_offsets[start]:fetch_offsets[stop]],
-            fetch_counts=arrays.fetch_counts[start:stop],
-            resident_regions=arrays.resident_regions[
-                resident_offsets[start]:resident_offsets[stop]],
-            resident_counts=arrays.resident_counts[start:stop]))
-        start = stop
-    return groups
-
-
 class FramePlan:
     """Output of scheduling one frame.
 

@@ -1,9 +1,8 @@
 """Intra-frame worker pool: dispatch, persistence, guards, fallback.
 
-The byte-identity of *real* sharded work (image renders, frame
-simulations) is pinned in ``tests/models/test_render_sharded.py`` and
-``tests/hardware/test_frame_sim_sharded.py``; this suite covers the
-pool machinery itself with cheap picklable functions.
+The byte-identity of *real* sharded work (image renders) is pinned in
+``tests/models/test_render_sharded.py``; this suite covers the pool
+machinery itself with cheap picklable functions.
 """
 
 import concurrent.futures

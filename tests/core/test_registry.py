@@ -11,6 +11,7 @@ import os
 import pytest
 
 from repro import core
+from repro.core import frame_pool
 from repro.core.context import RunContext
 from repro.core.registry import (all_experiments, experiment_names,
                                  get_experiment)
@@ -183,6 +184,25 @@ class TestRegistryMatchesLegacy:
                          view_counts=(4,))
         via_registry = get_experiment("table3").run(**overrides).rows
         assert len(via_registry) == 2
+
+
+class TestOneFrameExperimentsStayInProcess:
+    """fig10 and table4 are one unit each, and the simulator runs each
+    frame in one process: a wider context changes no row and opens no
+    process pool."""
+
+    @pytest.mark.parametrize("name", ["fig10", "table4"])
+    def test_width_two_opens_no_pool(self, name, monkeypatch):
+        sequential = get_experiment(name).run(RunContext(workers=1))
+
+        def no_pool(*args, **kwargs):
+            # Not OSError: the pooled loop turns that into a fallback.
+            raise AssertionError(f"{name} opened a frame pool")
+
+        monkeypatch.setattr(frame_pool, "get_pool", no_pool)
+        wide = get_experiment(name).run(RunContext(workers=2))
+        assert wide.rows == sequential.rows
+        assert wide.text == sequential.text
 
 
 class TestRenderAndRegenerate:

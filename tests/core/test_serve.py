@@ -22,6 +22,23 @@ from repro.core.serve import (QUALITIES, RenderRequest, RenderScheduler,
                               ServiceOverloaded)
 
 SCENE_KW = dict(step=8, image_scale=1 / 16, views=4, scene_seed=1)
+
+# image_scale must be a real number in (0, 1]: booleans, strings, null,
+# NaN, infinities and out-of-range values are all a ServeError.
+BAD_IMAGE_SCALES = [
+    pytest.param(True, id="true"),
+    pytest.param(False, id="false"),
+    pytest.param("0.5", id="numeric-string"),
+    pytest.param("abc", id="string"),
+    pytest.param(None, id="null"),
+    pytest.param(float("nan"), id="nan"),
+    pytest.param(float("inf"), id="inf"),
+    pytest.param(float("-inf"), id="-inf"),
+    pytest.param(0.0, id="zero"),
+    pytest.param(-0.25, id="negative"),
+    pytest.param(1.5, id="above-one"),
+]
+
 SOURCE_POINTS = 24
 
 
@@ -399,6 +416,21 @@ class TestValidation:
                                                      chunk=16))
         assert np.array_equal(response.image, expected)
 
+    @pytest.mark.parametrize("value", BAD_IMAGE_SCALES)
+    def test_python_requests_follow_the_image_scale_rule(self, store,
+                                                         models, value):
+        """Requests built in Python get the JSON parser's image_scale
+        rule: anything but a real number in (0, 1] is a ServeError
+        before planning, never a bare ValueError or TypeError."""
+        scheduler = RenderScheduler(_config(store), store=store,
+                                    models=models)
+        request = RenderRequest(request_id=f"scale={value!r}",
+                                scene="fern",
+                                **dict(SCENE_KW, image_scale=value))
+        with pytest.raises(ServeError, match="image_scale must be"):
+            scheduler.submit(request, 0)
+        assert scheduler.counters["submitted"] == 0
+
     def test_duplicate_id_rejected(self, store, models):
         scheduler = RenderScheduler(_config(store), store=store,
                                     models=models)
@@ -494,3 +526,18 @@ class TestDaemon:
         request = serve.request_from_json(
             {"scene": "fern", "step": 2.0, "chunk": None}, "d")
         assert (request.step, request.chunk) == (2, None)
+
+    @pytest.mark.parametrize("value", BAD_IMAGE_SCALES)
+    def test_request_json_image_scale_rule(self, value):
+        # Rejected, not coerced: float(true) would serve a full-scale
+        # frame, 16x the default.
+        with pytest.raises(ServeError, match="image_scale must be"):
+            serve.request_from_json({"scene": "fern",
+                                     "image_scale": value}, "d")
+
+    @pytest.mark.parametrize("value", [1, 0.5, 1 / 16])
+    def test_request_json_accepts_real_image_scale(self, value):
+        request = serve.request_from_json(
+            {"scene": "fern", "image_scale": value}, "d")
+        assert type(request.image_scale) is float
+        assert request.image_scale == value

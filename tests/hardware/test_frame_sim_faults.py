@@ -1,12 +1,15 @@
-"""Fault-injected frame simulations stay bit-identical.
+"""Injected pool faults never reach a frame simulation.
 
 Mirrors ``tests/models/test_render_faults.py`` for the accelerator
-side: a pool worker that crashes, hangs, or returns a corrupt result
-mid-frame re-executes only its patch group, and every scalar total of
-the simulated frame matches the fault-free sequential run exactly —
-at 1, 2, and 4 workers (faults inject only inside pool workers, so the
-1-worker row is the no-fault control).
+side.  A simulated frame runs in one process, so the fault plans that
+crash, hang, or corrupt a ``frame_pool`` task mid-render have no task
+to hit here: under each plan, at host widths (``REPRO_WORKERS``) of 1,
+2, and 4, every scalar total of the frame matches the fault-free run
+exactly, no pool is opened, and no ``frame_pool`` retry, rebuild or
+degradation event is logged.
 """
+
+import logging
 
 import pytest
 
@@ -39,26 +42,39 @@ def workload():
 
 
 @pytest.fixture(autouse=True)
-def retire_pool():
-    frame_pool.shutdown_pool()
-    yield
-    frame_pool.shutdown_pool()
+def no_pool(monkeypatch):
+    def tripwire(*args, **kwargs):
+        # Not OSError: the pooled loop turns that into a fallback.
+        raise AssertionError("a frame simulation opened a frame pool")
+
+    monkeypatch.setattr(frame_pool, "get_pool", tripwire)
 
 
-def _simulate(rig, workload, workers, plan=None):
+def _simulate(rig, workload, plan=None):
     accelerator = GenNerfAccelerator(variant_config("ours"))
     if plan is None:
         plan = accelerator.plan_frame(rig.novel, rig.sources, rig.near,
                                       rig.far, workload)
     return accelerator.simulate_frame(workload, rig.novel, rig.sources,
-                                      rig.near, rig.far, plan=plan,
-                                      workers=workers), plan
+                                      rig.near, rig.far, plan=plan), plan
 
 
 class TestFrameSimUnderInjectedFaults:
     @pytest.fixture(scope="class")
     def baseline(self, rig, workload):
-        return _simulate(rig, workload, workers=1)
+        return _simulate(rig, workload)
+
+    def _simulate_under(self, fault_plan, rig, workload, plan, workers,
+                        monkeypatch, caplog):
+        monkeypatch.setenv("REPRO_WORKERS", str(workers))
+        with caplog.at_level(logging.INFO, logger="repro"), \
+                injected_faults(fault_plan):
+            result, _ = _simulate(rig, workload, plan=plan)
+        events = [record.repro_event for record in caplog.records
+                  if getattr(record, "repro_event", "")
+                  .startswith("frame_pool.")]
+        assert events == []
+        return result
 
     def _assert_identical(self, result, sequential):
         for field in SCALAR_FIELDS:
@@ -67,43 +83,46 @@ class TestFrameSimUnderInjectedFaults:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_worker_crash_mid_frame(self, rig, workload, baseline,
-                                    workers):
+                                    workers, monkeypatch, caplog):
         sequential, plan = baseline
         fault_plan = FaultPlan(tasks={0: FaultSpec("crash")},
                                scope="frame_pool")
-        with injected_faults(fault_plan):
-            result, _ = _simulate(rig, workload, workers, plan=plan)
+        result = self._simulate_under(fault_plan, rig, workload, plan,
+                                      workers, monkeypatch, caplog)
         self._assert_identical(result, sequential)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_hung_worker_times_out_mid_frame(self, rig, workload,
                                              baseline, workers,
-                                             monkeypatch):
+                                             monkeypatch, caplog):
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "0.5")
         sequential, plan = baseline
         fault_plan = FaultPlan(tasks={1: FaultSpec("hang", hang_s=5.0)},
                                scope="frame_pool")
-        with injected_faults(fault_plan):
-            result, _ = _simulate(rig, workload, workers, plan=plan)
+        result = self._simulate_under(fault_plan, rig, workload, plan,
+                                      workers, monkeypatch, caplog)
         self._assert_identical(result, sequential)
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_corrupt_group_result_mid_frame(self, rig, workload,
-                                            baseline, workers):
+                                            baseline, workers,
+                                            monkeypatch, caplog):
         sequential, plan = baseline
         fault_plan = FaultPlan(tasks={0: FaultSpec("corrupt")},
                                scope="frame_pool")
-        with injected_faults(fault_plan):
-            result, _ = _simulate(rig, workload, workers, plan=plan)
+        result = self._simulate_under(fault_plan, rig, workload, plan,
+                                      workers, monkeypatch, caplog)
         self._assert_identical(result, sequential)
 
     def test_persistent_crash_degrades_but_stays_identical(
-            self, rig, workload, baseline):
+            self, rig, workload, baseline, monkeypatch, caplog):
+        # A crash on every attempt would force the pooled loop to
+        # degrade; the simulator has no pooled loop to degrade.
         sequential, plan = baseline
         fault_plan = FaultPlan(tasks={0: FaultSpec("crash",
                                                    attempts=tuple(
                                                        range(8)))},
                                scope="frame_pool")
-        with injected_faults(fault_plan):
-            result, _ = _simulate(rig, workload, workers=2, plan=plan)
+        result = self._simulate_under(fault_plan, rig, workload, plan, 2,
+                                      monkeypatch, caplog)
         self._assert_identical(result, sequential)

@@ -1,23 +1,23 @@
-"""Sharded-vs-sequential bit-identity for the frame simulation.
+"""Frame simulation is one in-process pass at any host width.
 
-``simulate_frame(workers=N)`` splits the plan at patch boundaries,
-runs the batched per-patch models per group, concatenates per-patch
-results in group order, and ordered-sums the scalar totals over the
-full concatenation — so every output must be **bit-identical** to the
-single-pass run (and therefore to the seed loop it is pinned against)
-at any worker count.  Covers all Fig. 12 variants at 1/2/4 workers,
-``split_plan_arrays`` itself, and the pool-failure fallback.
+``simulate_frame`` evaluates a frame as one grouped array pass and has
+no ``workers`` argument: it never shards the plan over the intra-frame
+pool of :mod:`repro.core.frame_pool`, which renders still use.  These
+tests set the host width (``REPRO_WORKERS``) to 1, 2 and 4 with
+``frame_pool.get_pool`` replaced by a tripwire, and pin that every
+Fig. 12 variant's totals stay bit-identical across widths, that a warm
+engine cache stays identical, and that a pool that cannot spawn
+neither changes a frame nor logs a degradation.  Bit-identity to the
+seed loop is pinned by ``tests/hardware/test_accelerator_equivalence.py``.
 """
 
 import logging
 
-import numpy as np
 import pytest
 
 from repro.core import frame_pool, log
 from repro.core.pipeline import hardware_rig
-from repro.hardware import (GenNerfAccelerator, PlanArrays,
-                            split_plan_arrays, variant_config)
+from repro.hardware import GenNerfAccelerator, variant_config
 from repro.models.workload import typical_workload
 from repro.scenes.datasets import DatasetSpec
 
@@ -40,123 +40,72 @@ def workload():
     return typical_workload(height=144, width=192, num_views=6)
 
 
-@pytest.fixture(scope="module", autouse=True)
-def retire_pool():
-    yield
-    frame_pool.shutdown_pool()
+@pytest.fixture(autouse=True)
+def no_pool(monkeypatch):
+    def tripwire(*args, **kwargs):
+        # Not OSError: the pooled loop turns that into a fallback.
+        raise AssertionError("a frame simulation opened a frame pool")
+
+    monkeypatch.setattr(frame_pool, "get_pool", tripwire)
 
 
-def _simulate(variant, rig, workload, workers, plan=None):
+def _simulate(variant, rig, workload, plan=None):
     accelerator = GenNerfAccelerator(variant_config(variant))
     if plan is None:
         plan = accelerator.plan_frame(rig.novel, rig.sources, rig.near,
                                       rig.far, workload)
     return accelerator.simulate_frame(workload, rig.novel, rig.sources,
-                                      rig.near, rig.far, plan=plan,
-                                      workers=workers), plan
+                                      rig.near, rig.far, plan=plan), plan
 
 
-class TestSplitPlanArrays:
-    @pytest.fixture(scope="class")
-    def arrays(self, rig, workload):
-        accelerator = GenNerfAccelerator(variant_config("ours"))
-        plan = accelerator.plan_frame(rig.novel, rig.sources, rig.near,
-                                      rig.far, workload)
-        return plan.arrays
-
-    @pytest.mark.parametrize("shards", [2, 3, 4, 7])
-    def test_groups_reassemble_to_the_original(self, arrays, shards):
-        groups = split_plan_arrays(arrays, shards)
-        assert len(groups) == shards
-        assert sum(g.num_patches for g in groups) == arrays.num_patches
-        for field in ("bounds", "prefetch_bytes", "fetch_regions",
-                      "fetch_counts", "resident_regions",
-                      "resident_counts"):
-            rebuilt = np.concatenate(
-                [getattr(g, field) for g in groups], axis=0)
-            assert np.array_equal(rebuilt, getattr(arrays, field)), field
-
-    def test_region_rows_travel_with_their_patches(self, arrays):
-        groups = split_plan_arrays(arrays, 3)
-        for group in groups:
-            assert group.fetch_regions.shape[0] == \
-                int(group.fetch_counts.sum())
-            assert group.resident_regions.shape[0] == \
-                int(group.resident_counts.sum())
-
-    def test_group_sizes_follow_array_split_convention(self, arrays):
-        groups = split_plan_arrays(arrays, 3)
-        sizes = [g.num_patches for g in groups]
-        expected = [len(part) for part in
-                    np.array_split(np.arange(arrays.num_patches), 3)]
-        assert sizes == expected
-
-    def test_one_shard_returns_the_arrays_whole(self, arrays):
-        for shards in (1, 0, -2):
-            groups = split_plan_arrays(arrays, shards)
-            assert len(groups) == 1 and groups[0] is arrays
-
-    def test_shards_clamp_to_patch_count(self):
-        tiny = PlanArrays(
-            bounds=np.zeros((2, 6), dtype=np.int64),
-            prefetch_bytes=np.ones(2),
-            fetch_regions=np.zeros((3, 5), dtype=np.int64),
-            fetch_counts=np.array([1, 2], dtype=np.int64),
-            resident_regions=np.zeros((2, 5), dtype=np.int64),
-            resident_counts=np.array([1, 1], dtype=np.int64))
-        groups = split_plan_arrays(tiny, 10)
-        assert len(groups) == 2
-        assert [g.num_patches for g in groups] == [1, 1]
-        assert groups[0].fetch_regions.shape[0] == 1
-        assert groups[1].fetch_regions.shape[0] == 2
+def _assert_identical(result, sequential):
+    for field in SCALAR_FIELDS:
+        assert getattr(result, field) == getattr(sequential, field), field
 
 
 class TestFrameSimSharded:
     @pytest.mark.parametrize("variant", ["ours", "var1", "var2", "var3"])
     def test_all_variants_bit_identical_at_all_widths(self, variant, rig,
-                                                      workload):
-        sequential, plan = _simulate(variant, rig, workload, workers=1)
+                                                      workload,
+                                                      monkeypatch):
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        sequential, plan = _simulate(variant, rig, workload)
         for workers in (2, 4):
-            sharded, _ = _simulate(variant, rig, workload, workers=workers,
-                                   plan=plan)
-            for field in SCALAR_FIELDS:
-                assert getattr(sharded, field) == \
-                    getattr(sequential, field), (variant, workers, field)
+            monkeypatch.setenv("REPRO_WORKERS", str(workers))
+            wide, _ = _simulate(variant, rig, workload, plan=plan)
+            _assert_identical(wide, sequential)
 
-    def test_warm_cache_reuse_stays_identical(self, rig, workload):
-        # Repeated frames on one simulator warm the engine compute
-        # cache in the parent (sequential) and in pool workers
-        # (sharded); the second frame must still match bit for bit.
-        seq_accel = GenNerfAccelerator(variant_config("ours"))
-        shard_accel = GenNerfAccelerator(variant_config("ours"))
-        plan = seq_accel.plan_frame(rig.novel, rig.sources, rig.near,
-                                    rig.far, workload)
+    def test_warm_cache_reuse_stays_identical(self, rig, workload,
+                                              monkeypatch):
+        # Repeated frames on one simulator warm its engine compute
+        # cache; at a wider host width the second frame must still
+        # match a fresh simulator's frame bit for bit.
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        sequential, plan = _simulate("ours", rig, workload)
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        accelerator = GenNerfAccelerator(variant_config("ours"))
         for _ in range(2):
-            sequential = seq_accel.simulate_frame(
+            warm = accelerator.simulate_frame(
                 workload, rig.novel, rig.sources, rig.near, rig.far,
-                plan=plan, workers=1)
-            sharded = shard_accel.simulate_frame(
-                workload, rig.novel, rig.sources, rig.near, rig.far,
-                plan=plan, workers=2)
-            for field in SCALAR_FIELDS:
-                assert getattr(sharded, field) == \
-                    getattr(sequential, field), field
+                plan=plan)
+            _assert_identical(warm, sequential)
 
 
 class TestPoolFailureFallback:
     def test_simulation_survives_pool_failure_bit_identically(
             self, rig, workload, monkeypatch, caplog):
-        sequential, plan = _simulate("ours", rig, workload, workers=1)
+        monkeypatch.setenv("REPRO_WORKERS", "1")
+        sequential, plan = _simulate("ours", rig, workload)
 
         def broken_pool(payload, workers):
             raise OSError("process spawning disabled")
 
         monkeypatch.setattr(frame_pool, "get_pool", broken_pool)
+        monkeypatch.setenv("REPRO_WORKERS", "4")
         with caplog.at_level(logging.WARNING, logger="repro"):
-            sharded, _ = _simulate("ours", rig, workload, workers=4,
-                                   plan=plan)
-        for field in SCALAR_FIELDS:
-            assert getattr(sharded, field) == getattr(sequential, field)
-        degraded = log.events_named(caplog.records,
-                                    "frame_pool.degraded_sequential")
-        assert len(degraded) == 1
+            result, _ = _simulate("ours", rig, workload, plan=plan)
+        _assert_identical(result, sequential)
+        # The simulator never asks for a pool, so there is nothing to
+        # degrade from.
+        assert log.events_named(caplog.records,
+                                "frame_pool.degraded_sequential") == []
