@@ -35,7 +35,6 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
 
@@ -47,8 +46,6 @@ from .core.registry import (all_experiments, get_experiment,
 from .core.scene_cache import ENV_KNOB
 from .core.serve import (MAX_BATCH_ENV, QUEUE_ENV, WINDOW_ENV, ServeConfig,
                          run_daemon)
-from .models.footprint import FOOTPRINT_ENV
-from .models.sparse import SPARSE_ENV
 
 
 def _add_common_options(parser: argparse.ArgumentParser,
@@ -83,21 +80,6 @@ def _add_common_options(parser: argparse.ArgumentParser,
                              f"pool tasks (default: the {RETRIES_ENV} "
                              f"env knob, then 1; the final attempt "
                              f"always runs in-process)")
-    parser.add_argument("--sparse", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help=f"force the packed fine pass on/off for "
-                             f"every render in this invocation "
-                             f"(exported as the {SPARSE_ENV} env knob; "
-                             f"default: the knob, then on — outputs "
-                             f"are byte-identical either way)")
-    parser.add_argument("--footprint", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help=f"force the footprint-restricted training "
-                             f"encode on/off for every training run in "
-                             f"this invocation (exported as the "
-                             f"{FOOTPRINT_ENV} env knob; default: the "
-                             f"knob, then on — training trajectories "
-                             f"are byte-identical either way)")
 
 
 def _context(args: argparse.Namespace) -> RunContext:
@@ -283,14 +265,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help()
         return 2
-    sparse = getattr(args, "sparse", None)
-    if sparse is not None:
-        # Exported (not passed through call chains) so worker-pool
-        # subprocesses inherit the choice too.
-        os.environ[SPARSE_ENV] = "1" if sparse else "0"
-    footprint = getattr(args, "footprint", None)
-    if footprint is not None:
-        os.environ[FOOTPRINT_ENV] = "1" if footprint else "0"
     if args.command == "list":
         return _cmd_list()
     if args.command == "run":

@@ -1,12 +1,11 @@
 """Unified run context for the experiment registry.
 
 A :class:`RunContext` is the single object an experiment executes
-against: it owns the seeded RNG streams, the process-wide prepared
-scene / dense-reference memos (previously scattered across module
-globals in ``repro.core.experiments``), the optional disk-backed scene
-cache (:mod:`repro.core.scene_cache`), worker detection for the
-variant fan-out, and artefact I/O through
-:func:`repro.core.reporting.write_artifact`.
+against: it carries the run's seed, scale, worker and fault settings,
+the process-wide prepared scene / dense-reference memos (previously
+scattered across module globals in ``repro.core.experiments``), the
+optional disk-backed scene cache (:mod:`repro.core.scene_cache`), and
+artefact I/O through :func:`repro.core.reporting.write_artifact`.
 
 The memos are process-wide by default (two contexts in one process
 share prepared scenes, exactly like the old module globals), so pool
@@ -17,7 +16,6 @@ extends the reuse across processes and pytest sessions.
 from __future__ import annotations
 
 import os
-import zlib
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -25,7 +23,6 @@ import numpy as np
 
 from .. import models as M
 from ..scenes.datasets import llff_eval_scenes
-from .runner import detect_workers
 from .scene_cache import SceneCache, recipe_key, source_images_key
 from . import faults, reporting
 
@@ -208,25 +205,6 @@ class RunContext:
     retries: Optional[int] = None
 
     # ------------------------------------------------------------------
-    def rng(self, stream: str, seed: Optional[int] = None
-            ) -> np.random.Generator:
-        """A named, reproducible RNG stream.
-
-        Streams are independent per name (crc32-salted) and anchored at
-        ``seed`` (argument, else the context seed, else 0), so two
-        experiments drawing from differently named streams never
-        entangle their randomness.  The ported paper experiments keep
-        seeding their units through explicit ``seed`` parameters (that
-        is what makes the committed artefacts byte-stable); this is the
-        stream facility for *new* scenarios registered against the
-        context.
-        """
-        base = seed if seed is not None else (
-            self.seed if self.seed is not None else 0)
-        return np.random.default_rng(
-            (int(base), zlib.crc32(stream.encode("utf-8"))))
-
-    # ------------------------------------------------------------------
     def scene_cache(self) -> Optional[SceneCache]:
         return SceneCache.from_env(self.cache_dir)
 
@@ -245,9 +223,6 @@ class RunContext:
                                cache=self.scene_cache())
 
     # ------------------------------------------------------------------
-    def resolve_workers(self, num_tasks: int) -> int:
-        return detect_workers(num_tasks, self.workers)
-
     def resolve_task_timeout(self) -> Optional[float]:
         return faults.detect_task_timeout(self.task_timeout)
 

@@ -238,7 +238,7 @@ TABLE2_VARIANTS = ("vanilla", "no_transformer", "mixer", "gen_nerf")
 
 def _table2_prepare(train_steps: int, eval_step: int, image_scale: float,
                     num_points: int, seed: int, scenes: Sequence[str],
-                    num_source_views: int, workers: Optional[int] = 1):
+                    num_source_views: int):
     """Deterministic shared inputs of every table-2 variant unit.
 
     Scene generation is crc32-seeded and the dense reference render
@@ -253,7 +253,7 @@ def _table2_prepare(train_steps: int, eval_step: int, image_scale: float,
     memo_key = (float(image_scale), int(num_source_views), int(seed), 128)
     names = [name for name in LLFF_EVAL_SCENES if name in scenes]
     scene_data = llff_scene_data(image_scale, num_source_views, seed=seed,
-                                 names=names, workers=workers)
+                                 names=names)
     train_cfg = M.TrainConfig(steps=train_steps, rays_per_batch=40,
                               num_points=num_points, seed=seed)
     references = llff_references(scene_data, memo_key, eval_step)
@@ -288,20 +288,19 @@ def _table2_evaluate(model, method: str, workload_row: str, scene_data,
 
 def _table2_unit(kind: str, train_steps: int, eval_step: int,
                  image_scale: float, num_points: int, seed: int,
-                 scenes: Sequence[str], num_source_views: int,
-                 prep=None) -> List[AblationRow]:
+                 scenes: Sequence[str],
+                 num_source_views: int) -> List[AblationRow]:
     """Train and evaluate one independent table-2 variant.
 
     Module-level and argument-pure so :func:`run_variants` can ship it
     to a worker process; every variant re-seeds its own RNG, so rows
     are identical no matter where (or next to what) the unit runs.
-    ``prep`` optionally injects the shared :func:`_table2_prepare`
-    output so the sequential path pays for it once.
+    Units in one process share :func:`_table2_prepare`'s scenes and
+    references through its memos.
     """
-    if prep is None:
-        prep = _table2_prepare(train_steps, eval_step, image_scale,
-                               num_points, seed, scenes, num_source_views)
-    scene_data, train_cfg, references = prep
+    scene_data, train_cfg, references = _table2_prepare(
+        train_steps, eval_step, image_scale, num_points, seed, scenes,
+        num_source_views)
     n_max = num_points
 
     def train(model) -> None:
@@ -361,8 +360,7 @@ TABLE3_METHODS = ("IBRNet", "Gen-NeRF")
 
 
 def _table3_prepare(views: int, train_steps: int, eval_step: int,
-                    image_scale: float, num_points: int, seed: int,
-                    workers: Optional[int] = 1):
+                    image_scale: float, num_points: int, seed: int):
     """Deterministic shared inputs of a table-3 (view count) pair.
 
     One dense reference per scene for this view count; both methods
@@ -372,8 +370,7 @@ def _table3_prepare(views: int, train_steps: int, eval_step: int,
     """
     num_source_views = max(views, 6)
     memo_key = (float(image_scale), int(num_source_views), int(seed), 128)
-    scene_data = llff_scene_data(image_scale, num_source_views, seed=seed,
-                                 workers=workers)
+    scene_data = llff_scene_data(image_scale, num_source_views, seed=seed)
     train_cfg = M.TrainConfig(steps=train_steps, rays_per_batch=40,
                               num_points=num_points, seed=seed)
     references = llff_references(scene_data, memo_key, eval_step)
@@ -382,13 +379,11 @@ def _table3_prepare(views: int, train_steps: int, eval_step: int,
 
 def _table3_unit(method: str, views: int, train_steps: int,
                  finetune_steps: int, eval_step: int, image_scale: float,
-                 num_points: int, seed: int, prep=None) -> AblationRow:
+                 num_points: int, seed: int) -> AblationRow:
     """Pretrain one method at one view count, finetune per scene,
     evaluate — one independent, process-shippable table-3 unit."""
-    if prep is None:
-        prep = _table3_prepare(views, train_steps, eval_step, image_scale,
-                               num_points, seed)
-    scene_data, train_cfg, references = prep
+    scene_data, train_cfg, references = _table3_prepare(
+        views, train_steps, eval_step, image_scale, num_points, seed)
 
     rng = np.random.default_rng(seed)
     if method == "IBRNet":

@@ -54,6 +54,7 @@ import atexit
 import concurrent.futures
 import logging
 import time
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import faults, log
@@ -212,7 +213,7 @@ def _run_pooled(scope: str, function: Callable, payload, tasks: List[tuple],
                         if plan else None
                     submitted[index] = executor.submit(
                         _run_task, function, tasks[index], fault, index)
-            except concurrent.futures.process.BrokenProcessPool as error:
+            except BrokenProcessPool as error:
                 # A worker died during spawn/submission.
                 broken, retry = error, pending
             except OSError as error:
@@ -237,8 +238,7 @@ def _run_pooled(scope: str, function: Callable, payload, tasks: List[tuple],
                                   timeout_s=timeout)
                         retry.append(index)
                         continue
-                    except concurrent.futures.process.BrokenProcessPool \
-                            as error:
+                    except BrokenProcessPool as error:
                         broken = error
                         retry.append(index)
                         continue

@@ -1,11 +1,9 @@
 """Declarative experiment registry: one :class:`Experiment` per paper
 table/figure, all driven through one lifecycle.
 
-Every experiment is a registered, declarative object with four hooks —
+Every experiment is a registered, declarative object with three hooks —
 
-* ``prepare(ctx, params)``  -> shared state for the sequential path
-  (worker processes rebuild it deterministically from the unit args);
-* ``units(ctx, params, shared)`` -> a picklable ``(function, kwargs)``
+* ``units(ctx, params)``         -> a picklable ``(function, kwargs)``
   task list, fanned out over :func:`repro.core.run_variants`;
 * ``reduce(results, params)``    -> the experiment's row structure
   (``ExperimentResult.rows``);
@@ -86,10 +84,9 @@ class Experiment:
     artefact: str           # stem under benchmarks/results/
     description: str
     params: Mapping[str, Any]
-    units: Callable[[RunContext, Dict[str, Any], Any], List[Task]]
+    units: Callable[[RunContext, Dict[str, Any]], List[Task]]
     reduce: Callable[[List[Any], Dict[str, Any]], Any]
     render: Callable[[Any, Dict[str, Any]], str]
-    prepare: Optional[Callable[[RunContext, Dict[str, Any]], Any]] = None
     scale_rules: Mapping[str, Any] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -118,31 +115,24 @@ class Experiment:
     # ------------------------------------------------------------------
     def run(self, ctx: Optional[RunContext] = None,
             **overrides) -> ExperimentResult:
-        """prepare -> units -> fan-out -> reduce -> render.
+        """units -> fan-out -> reduce -> render.
 
-        With one worker the shared ``prepare`` state is computed once
-        and injected into every unit (the historical sequential path);
-        with several, the picklable units rebuild it deterministically
-        in their worker processes — rows are byte-identical either way.
-        An explicit ``ctx.cache_dir`` is exported through the
-        ``REPRO_CACHE_DIR`` knob for the duration of the run, so the
-        sequential path and pool workers alike see the same disk cache.
+        Units that share inputs (prepared scenes, dense references) get
+        the same objects from the process-wide memos of
+        :mod:`repro.core.context` when they run in one process, and
+        rebuild them deterministically in worker processes — rows are
+        byte-identical either way.  An explicit ``ctx.cache_dir`` is
+        exported through the ``REPRO_CACHE_DIR`` knob for the duration
+        of the run, so the sequential path and pool workers alike see
+        the same disk cache.
         """
         ctx = ctx or RunContext()
         params = self.bind(ctx, overrides)
         with exported_cache_knob(ctx.cache_dir):
-            tasks = self.units(ctx, params, None)
-            count = ctx.resolve_workers(len(tasks))
-            if count <= 1:
-                shared = self.prepare(ctx, params) if self.prepare \
-                    else None
-                if shared is not None:
-                    tasks = self.units(ctx, params, shared)
-                results = [function(**kwargs) for function, kwargs in tasks]
-            else:
-                results = run_variants(tasks, workers=count,
-                                       timeout=ctx.task_timeout,
-                                       retries=ctx.retries)
+            results = run_variants(self.units(ctx, params),
+                                   workers=ctx.workers,
+                                   timeout=ctx.task_timeout,
+                                   retries=ctx.retries)
         rows = self.reduce(results, params)
         text = self.render(rows, params)
         return ExperimentResult(name=self.name, params=params, rows=rows,
@@ -188,11 +178,10 @@ def all_experiments() -> List[Experiment]:
 
 
 def _single_unit(function: Callable, *param_names: str
-                 ) -> Callable[[RunContext, Dict[str, Any], Any],
-                               List[Task]]:
+                 ) -> Callable[[RunContext, Dict[str, Any]], List[Task]]:
     """Units hook for one-body experiments: a single task carrying the
     named parameters."""
-    def units(ctx, params, shared):
+    def units(ctx, params):
         return [(function, {name: params[name] for name in param_names})]
 
     return units
@@ -259,7 +248,7 @@ register(Experiment(
 # ----------------------------------------------------------------------
 # Fig. 9 — PSNR vs sampled points / MFLOPs
 # ----------------------------------------------------------------------
-def _fig9_units(ctx, params, shared) -> List[Task]:
+def _fig9_units(ctx, params) -> List[Task]:
     unit = dict(seed=params["seed"], step=params["step"],
                 reference_points=params["reference_points"],
                 pairs=tuple(tuple(pair) for pair in params["pairs"]),
@@ -309,15 +298,8 @@ register(Experiment(
 # ----------------------------------------------------------------------
 # Table 2 — component ablation
 # ----------------------------------------------------------------------
-def _table2_prepare_hook(ctx, params):
-    # The shared prepare runs in the parent (sequential resolution
-    # only), so the scene source-view renders may shard intra-frame.
-    return E._table2_prepare(**params, workers=ctx.workers)
-
-
-def _table2_units(ctx, params, shared) -> List[Task]:
-    extra = {} if shared is None else {"prep": shared}
-    return [(E._table2_unit, dict(kind=kind, **params, **extra))
+def _table2_units(ctx, params) -> List[Task]:
+    return [(E._table2_unit, dict(kind=kind, **params))
             for kind in E.TABLE2_VARIANTS]
 
 
@@ -359,8 +341,7 @@ register(Experiment(
     params=dict(train_steps=300, eval_step=6, image_scale=1 / 10,
                 num_points=20, seed=1, scenes=LLFF_EVAL_SCENES,
                 num_source_views=10),
-    prepare=_table2_prepare_hook, units=_table2_units,
-    reduce=_reduce_table2, render=_render_table2,
+    units=_table2_units, reduce=_reduce_table2, render=_render_table2,
     scale_rules={"train_steps": 6}))
 
 
@@ -371,25 +352,12 @@ _TABLE3_UNIT_KEYS = ("train_steps", "finetune_steps", "eval_step",
                      "image_scale", "num_points", "seed")
 
 
-def _table3_prepare_hook(ctx, params):
-    prep_keys = ("train_steps", "eval_step", "image_scale", "num_points",
-                 "seed")
-    prep_params = {key: params[key] for key in prep_keys}
-    return {views: E._table3_prepare(views=views, workers=ctx.workers,
-                                     **prep_params)
-            for views in params["view_counts"]}
-
-
-def _table3_units(ctx, params, shared) -> List[Task]:
+def _table3_units(ctx, params) -> List[Task]:
     unit_params = {key: params[key] for key in _TABLE3_UNIT_KEYS}
-    tasks: List[Task] = []
-    for views in params["view_counts"]:
-        for method in E.TABLE3_METHODS:
-            kwargs = dict(method=method, views=views, **unit_params)
-            if shared is not None:
-                kwargs["prep"] = shared[views]
-            tasks.append((E._table3_unit, kwargs))
-    return tasks
+    return [(E._table3_unit, dict(method=method, views=views,
+                                  **unit_params))
+            for views in params["view_counts"]
+            for method in E.TABLE3_METHODS]
 
 
 def _reduce_table3(results, params):
@@ -411,8 +379,7 @@ register(Experiment(
     params=dict(train_steps=260, finetune_steps=60, eval_step=6,
                 image_scale=1 / 10, num_points=20, seed=1,
                 view_counts=(4, 10)),
-    prepare=_table3_prepare_hook, units=_table3_units,
-    reduce=_reduce_table3, render=_render_table3,
+    units=_table3_units, reduce=_reduce_table3, render=_render_table3,
     scale_rules={"train_steps": 5, "finetune_steps": 3}))
 
 
@@ -450,7 +417,7 @@ register(Experiment(
 # ----------------------------------------------------------------------
 # Fig. 11 — scalability sweeps
 # ----------------------------------------------------------------------
-def _fig11_units(ctx, params, shared) -> List[Task]:
+def _fig11_units(ctx, params) -> List[Task]:
     seed = params["seed"]
     tasks = [(E._fig11_unit, dict(axis="views", value=int(views),
                                   seed=seed))
@@ -534,7 +501,7 @@ register(Experiment(
 # ----------------------------------------------------------------------
 # Fig. 12 — dataflow / storage ablation
 # ----------------------------------------------------------------------
-def _fig12_units(ctx, params, shared) -> List[Task]:
+def _fig12_units(ctx, params) -> List[Task]:
     return [(E._fig12_unit, dict(views=views, seed=params["seed"]))
             for views in params["view_counts"]]
 
@@ -624,7 +591,7 @@ _OCCUPANCY_BASE_KEYS = ("seeds", "step", "image_scale", "coarse_points",
                         "focused", "n_max", "tau")
 
 
-def _occupancy_units(ctx, params, shared) -> List[Task]:
+def _occupancy_units(ctx, params) -> List[Task]:
     base = {key: params[key] for key in _OCCUPANCY_BASE_KEYS}
     return [(E._occupancy_profile_unit, dict(family=family, **base))
             for family in params["families"]]
@@ -671,7 +638,7 @@ _SERVE_REPLAY_BASE_KEYS = (
     "views", "step", "source_points", "mean_gap")
 
 
-def _serve_replay_units(ctx, params, shared) -> List[Task]:
+def _serve_replay_units(ctx, params) -> List[Task]:
     base = {key: params[key] for key in _SERVE_REPLAY_BASE_KEYS}
     base["workers"] = ctx.workers
     tasks = [(S._serve_replay_unit, dict(level=int(level), burst=False,

@@ -10,8 +10,7 @@ from .encoder import ConvEncoder
 from .features import (FetchedFeatures, bilinear_gather,
                        feature_access_bytes, fetch_features,
                        fetched_pixel_mask)
-from .footprint import (FOOTPRINT_ENV, FOOTPRINT_STATS, FootprintPlan,
-                        footprint_enabled, plan_conv_footprint)
+from .footprint import FOOTPRINT_STATS, FootprintPlan, plan_conv_footprint
 from .gen_nerf import GenNeRF, GenNerfConfig
 from .ibrnet import GeneralizableNeRF, ModelConfig, RenderOutput
 from .metrics import lpips_proxy, mse, psnr, ssim
@@ -38,8 +37,7 @@ from .workload import (DEFAULT_DIMS, PaperScaleDims, RenderWorkload,
 __all__ = [
     "ConvEncoder", "FetchedFeatures", "bilinear_gather", "fetch_features",
     "feature_access_bytes", "fetched_pixel_mask",
-    "FOOTPRINT_ENV", "FOOTPRINT_STATS", "FootprintPlan",
-    "footprint_enabled", "plan_conv_footprint",
+    "FOOTPRINT_STATS", "FootprintPlan", "plan_conv_footprint",
     "GenNeRF", "GenNerfConfig", "GeneralizableNeRF", "ModelConfig",
     "RenderOutput", "RayMixer", "RayTransformer", "PointwiseDensityHead",
     "SampleSet", "stratified_depths", "hierarchical_depths", "sampling_pdf",

@@ -1,4 +1,4 @@
-"""Footprint-restricted training encode (``REPRO_FOOTPRINT``).
+"""Footprint-restricted training encode.
 
 Training violates the paper's gather-dominated structure in one place:
 every step convolves the *full* source images even though the step's
@@ -32,9 +32,10 @@ Bit-exactness is the contract, and it rests on three legs:
   planner's ``2 * n_out < dense_rows`` guard per layer is what makes
   the shared compaction rule always fire on both sides.
 
-The knob mirrors ``REPRO_SPARSE`` and shares its parser: on by default,
-lenient parsing, CLI ``--footprint/--no-footprint`` exports it to pool
-workers.
+Where the host fails the check of :func:`repro.nn.regime.host_matches`,
+no count is bitwise-safe, so every plan falls back to the dense encode.
+``Trainer(..., footprint=False)`` skips planning altogether: the
+reference seam of :func:`repro.perf.reference.trainer_full_encode`.
 """
 
 from __future__ import annotations
@@ -45,32 +46,11 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..nn import regime
-from .sparse import flag_enabled, parse_sparse_flag
-
-FOOTPRINT_ENV = "REPRO_FOOTPRINT"
 
 # Process-wide counters, mirroring ``ibrnet.PACK_STATS``: how many
 # training encodes ran footprint-restricted vs fell back to the dense
-# conv stack (saturated footprint, infeasible kernel regime, knob off).
+# conv stack (saturated footprint, infeasible kernel regime).
 FOOTPRINT_STATS = {"footprint": 0, "dense": 0}
-
-
-def parse_footprint_flag(value, source: str = FOOTPRINT_ENV
-                         ) -> Optional[bool]:
-    """:func:`repro.models.sparse.parse_sparse_flag`, reporting
-    malformed values as ``REPRO_FOOTPRINT``."""
-    return parse_sparse_flag(value, source)
-
-
-def footprint_enabled(override: Optional[bool] = None) -> bool:
-    """Resolve the footprint-encode switch.
-
-    Priority: explicit argument (``Trainer(..., footprint=...)`` or the
-    CLI's ``--footprint/--no-footprint``), then the ``REPRO_FOOTPRINT``
-    env knob, then the default (on); see
-    :func:`repro.models.sparse.flag_enabled`.
-    """
-    return flag_enabled(FOOTPRINT_ENV, override)
 
 
 @dataclass

@@ -157,20 +157,17 @@ class GenNeRF(nn.Module):
     def fine_pass(self, bundle: RayBundle, samples: SampleSet,
                   source_cameras: Sequence[Camera],
                   fine_maps: Union[Tensor, Sequence[Tensor]],
-                  source_images: np.ndarray,
-                  sparse: Optional[bool] = None
+                  source_images: np.ndarray
                   ) -> Tuple[Tensor, Tensor, RenderOutput]:
         """Steps 2-5 of the vanilla pipeline at the focused samples.
 
-        ``sparse`` forces the packed fine pass on/off; the default defers
-        to the ``REPRO_SPARSE`` knob (see :mod:`repro.models.sparse`).
-        Either way the outputs are byte-identical — the knob only picks
-        which equivalent compute layout runs.
+        The fine model packs the focused samples wherever that keeps its
+        outputs byte-identical on this host (see
+        :meth:`GeneralizableNeRF.forward`).
         """
         points = bundle.points_at(samples.depths)
         output = self.fine(points, bundle.directions, source_cameras,
-                           fine_maps, source_images, mask=samples.mask,
-                           sparse=sparse)
+                           fine_maps, source_images, mask=samples.mask)
         bin_width = (bundle.far - bundle.near) / max(self.config.coarse_points,
                                                      1)
         pixel, weights = composite(output.sigma, output.rgb, samples.depths,
@@ -184,8 +181,7 @@ class GenNeRF(nn.Module):
                     fine_maps: Union[Tensor, Sequence[Tensor]],
                     source_images: np.ndarray,
                     rng: Optional[np.random.Generator] = None,
-                    return_aux: bool = False,
-                    sparse: Optional[bool] = None):
+                    return_aux: bool = False):
         """Full Gen-NeRF pipeline for a ray bundle -> (R, 3) pixels."""
         coarse_depths, coarse_weights, coarse_out = self.coarse_pass(
             bundle, source_cameras, coarse_maps, source_images, rng=rng)
@@ -193,8 +189,7 @@ class GenNeRF(nn.Module):
             coarse_depths, coarse_weights, bundle, rng=rng,
             min_points=self.config.train_min_points if self.training else 0)
         pixel, weights, fine_out = self.fine_pass(
-            bundle, samples, source_cameras, fine_maps, source_images,
-            sparse=sparse)
+            bundle, samples, source_cameras, fine_maps, source_images)
         if not return_aux:
             return pixel
         coarse_pixel, _ = composite(coarse_out.sigma, coarse_out.rgb,

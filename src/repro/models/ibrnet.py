@@ -31,7 +31,6 @@ from .features import FetchedFeatures, fetch_features
 from .ray_mixer import RayMixer
 from .ray_transformer import PointwiseDensityHead, RayTransformer
 from .sampling import SamplePacking, _aligned_rows, pack_samples
-from .sparse import sparse_enabled
 
 DIRECTION_DIM = 4  # relative-direction encoding width (diff vec + dot)
 
@@ -168,20 +167,23 @@ class GeneralizableNeRF(nn.Module):
                 feature_maps: Union[Tensor, Sequence[Tensor]],
                 source_images: np.ndarray,
                 mask: Optional[np.ndarray] = None,
-                sparse: Optional[bool] = None) -> RenderOutput:
+                sparse: bool = True) -> RenderOutput:
         """Predict (rgb, sigma) for (R, P, 3) sampled points.
 
         ``mask`` (R, P) marks valid (non-padded) samples; padded points
         get sigma = 0 via the compositing mask downstream, but are also
         excluded from the ray module's context here.
 
-        ``sparse`` selects the packed fine pass (None defers to the
-        ``REPRO_SPARSE`` knob, default on): when the mask has holes and
-        the kernel-regime solver finds a feasible padded row count, the
-        feature fetch and the pointwise MLP stacks run on the packed
-        valid samples only and the results scatter back to the dense
-        grid before the ray module — byte-identical outputs, cost
-        proportional to per-ray occupancy instead of N_max.
+        ``sparse`` allows the packed fine pass: when the mask has holes
+        and the kernel-regime solver finds a feasible padded row count
+        (none does where the host fails the check of
+        :func:`repro.nn.regime.host_matches`), the feature fetch and the
+        pointwise MLP stacks run on the packed valid samples only and
+        the results scatter back to the dense grid before the ray
+        module — byte-identical outputs, cost proportional to per-ray
+        occupancy instead of N_max.  ``sparse=False`` forces the padded
+        path, the reference seam of
+        :func:`repro.perf.reference.model_forward_padded`.
         """
         packing = self._plan_packing(mask, len(source_cameras), sparse)
         if packing is None:
@@ -329,7 +331,7 @@ class GeneralizableNeRF(nn.Module):
                                ray_mask.reshape(num_rays, points_per_ray))
 
     def _plan_packing(self, mask: Optional[np.ndarray], num_views: int,
-                      sparse: Optional[bool]) -> Optional[SamplePacking]:
+                      sparse: bool) -> Optional[SamplePacking]:
         """Decide whether (and how) to pack this forward call.
 
         Returns None — the dense path — whenever packing cannot both
@@ -338,7 +340,7 @@ class GeneralizableNeRF(nn.Module):
         without holes, an infeasible kernel-regime constraint set, or a
         padded row count that wouldn't beat the dense cell count.
         """
-        if mask is None or self.training or not sparse_enabled(sparse):
+        if mask is None or self.training or not sparse:
             return None
         mask = np.asarray(mask, dtype=bool)
         if mask.ndim != 2:

@@ -27,7 +27,7 @@ image is **byte-identical** at any worker count
 keeps the historical in-process loop; ``workers=None`` autodetects
 (``REPRO_WORKERS`` env, then CPU count) with the nested-pool guard.
 
-The sparse fine pass (:mod:`repro.models.sparse`) composes with all of
+The sparse fine pass (:mod:`repro.models.ibrnet`) composes with all of
 the above untouched: chunk boundaries are computed *before* any model
 forward, and the packing is a per-chunk decision inside
 ``GeneralizableNeRF.forward`` that scatters back to the dense grid

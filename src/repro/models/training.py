@@ -57,8 +57,7 @@ from ..geometry.rays import RayBundle, rays_for_pixels, stratified_depths
 from ..scenes.datasets import Scene
 from ..scenes.render_gt import render_rays as render_gt_rays
 from .features import fetched_pixel_mask
-from .footprint import (FOOTPRINT_STATS, footprint_enabled,
-                        plan_conv_footprint)
+from .footprint import FOOTPRINT_STATS, plan_conv_footprint
 from .gen_nerf import GenNeRF
 from .ibrnet import GeneralizableNeRF
 from .renderer import render_source_views
@@ -198,17 +197,17 @@ class Trainer:
 
     def __init__(self, model: nn.Module, scenes: Sequence[SceneData],
                  config: Optional[TrainConfig] = None,
-                 footprint: Optional[bool] = None):
+                 footprint: bool = True):
         if not scenes:
             raise ValueError("need at least one scene")
         self.model = model
         self.scenes = list(scenes)
         self.config = config or TrainConfig()
-        # ``footprint`` forces the footprint-restricted training encode
-        # on/off; the default defers to the ``REPRO_FOOTPRINT`` knob
-        # (see :mod:`repro.models.footprint`).  Either way the training
-        # trajectory is byte-identical — the knob only picks which
-        # equivalent compute layout runs the encoder.
+        # ``footprint`` allows the footprint-restricted training encode
+        # (see :mod:`repro.models.footprint`); ``False`` always encodes
+        # whole images, the reference seam of
+        # ``repro.perf.reference.trainer_full_encode``.  Either way the
+        # training trajectory is byte-identical.
         self._footprint = footprint
         self.footprint_stats = {"footprint": 0, "dense": 0, "coverage": 0.0}
         schedule = nn.ExponentialDecayLR(self.config.learning_rate,
@@ -340,9 +339,6 @@ class Trainer:
         FOOTPRINT_STATS["footprint"] += 1
         return encoder.encode_views_footprint(images, plan)
 
-    def _use_footprint(self) -> bool:
-        return footprint_enabled(self._footprint)
-
     def _loss_ibrnet(self, model: GeneralizableNeRF, scene_data: SceneData,
                      bundle: RayBundle, target: np.ndarray):
         # Depths are drawn *before* the encode so the footprint planner
@@ -353,7 +349,7 @@ class Trainer:
                                    bundle.far, jitter=True)
         points = bundle.points_at(depths)
         cameras = scene_data.scene.source_cameras
-        if self._use_footprint():
+        if self._footprint:
             feature_maps = self._encode_footprint(
                 model.encoder, scene_data, [(cameras, None, points)])
         else:
@@ -366,7 +362,7 @@ class Trainer:
     def _loss_gen_nerf(self, model: GenNeRF, scene_data: SceneData,
                        bundle: RayBundle, target: np.ndarray):
         cameras = scene_data.scene.source_cameras
-        if self._use_footprint():
+        if self._footprint:
             cfg = model.config
             # Pre-draw the coarse depths (first RNG consumer of the
             # step) so both encodes can be footprint-planned; the

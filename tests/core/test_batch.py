@@ -29,7 +29,7 @@ def _make_tiny(name, artefact):
         name=name, title="synthetic tiny", kind="table",
         artefact=artefact, description="batch-test fixture",
         params={"seed": 1, "width": 3},
-        units=lambda ctx, params, shared: [
+        units=lambda ctx, params: [
             (_tiny_unit, {"seed": params["seed"],
                           "width": params["width"]})],
         reduce=lambda results, params: results[0],
@@ -46,7 +46,7 @@ def tiny_registry():
         name="_batch_boom", title="synthetic failure", kind="table",
         artefact="_batch_boom", description="batch-test fixture",
         params={},
-        units=lambda ctx, params, shared: [(_boom_unit, {})],
+        units=lambda ctx, params: [(_boom_unit, {})],
         reduce=lambda results, params: results,
         render=lambda rows, params: "never rendered")
     registry.register(tiny)

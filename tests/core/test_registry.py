@@ -61,16 +61,6 @@ class TestRegistryShape:
         params = experiment.bind(RunContext(seed=7), {"seed": 3})
         assert params["seed"] == 3
 
-    def test_rng_streams_deterministic_and_independent(self):
-        ctx = RunContext(seed=3)
-        assert ctx.rng("sweep").uniform() == ctx.rng("sweep").uniform()
-        assert ctx.rng("sweep").uniform() != ctx.rng("other").uniform()
-        assert ctx.rng("sweep").uniform() \
-            != RunContext(seed=4).rng("sweep").uniform()
-        # An explicit seed argument overrides the context anchor.
-        assert ctx.rng("sweep", seed=9).uniform() \
-            == RunContext(seed=9).rng("sweep").uniform()
-
     def test_run_honours_context_cache_dir(self, tmp_path, monkeypatch):
         # ctx.cache_dir must reach the units (and pool workers) via the
         # exported env knob for the duration of the run — programmatic
@@ -85,7 +75,7 @@ class TestRegistryShape:
             name="knob-probe", title="probe", kind="table",
             artefact="unused", description="reads the exported knob",
             params={},
-            units=lambda ctx, params, shared: [(_read_cache_knob, {})],
+            units=lambda ctx, params: [(_read_cache_knob, {})],
             reduce=lambda results, params: results[0],
             render=lambda rows, params: str(rows))
         monkeypatch.delenv(ENV_KNOB, raising=False)

@@ -10,8 +10,7 @@ These tests pin the two **bit-identical**: every per-step loss and
 every final weight, for the IBRNet baseline and the Gen-NeRF pair,
 across scene families (including the degenerate ``thicket`` /
 ``orbit_sparse`` rigs) and 1/2/4-worker scene preparation — plus the
-``REPRO_FOOTPRINT`` knob semantics and the encoder FLOPs arithmetic
-the planner's shapes are derived from.
+encoder FLOPs arithmetic the planner's shapes are derived from.
 """
 
 import logging
@@ -21,8 +20,6 @@ import pytest
 
 from repro import models as M
 from repro.core import frame_pool, log
-from repro.models.footprint import (FOOTPRINT_ENV, FOOTPRINT_STATS,
-                                    footprint_enabled, parse_footprint_flag)
 from repro.perf.reference import trainer_full_encode
 from repro.scenes.datasets import make_scene
 
@@ -145,42 +142,6 @@ class TestWorkerWidths:
         ref_losses = ref.fit(cfg.steps)
         _assert_same_run(fast, ref, fast_losses, ref_losses)
         assert fast.footprint_stats["footprint"] > 0
-
-
-class TestFootprintKnob:
-    def test_env_off_switch(self, family_data, monkeypatch):
-        """``REPRO_FOOTPRINT=0`` disables the planner wholesale."""
-        monkeypatch.setenv(FOOTPRINT_ENV, "0")
-        cfg = _config(rays=4, steps=2)
-        trainer = M.Trainer(_ibrnet(), family_data["llff"], cfg)
-        before = dict(FOOTPRINT_STATS)
-        trainer.fit(cfg.steps)
-        assert trainer.footprint_stats["footprint"] == 0
-        assert trainer.footprint_stats["dense"] == 0
-        assert FOOTPRINT_STATS == before
-
-    def test_priority_argument_env_default(self, monkeypatch):
-        monkeypatch.delenv(FOOTPRINT_ENV, raising=False)
-        assert footprint_enabled() is True               # default: on
-        monkeypatch.setenv(FOOTPRINT_ENV, "off")
-        assert footprint_enabled() is False              # env wins
-        assert footprint_enabled(override=True) is True  # argument beats env
-        monkeypatch.setenv(FOOTPRINT_ENV, "   ")
-        assert footprint_enabled() is True               # blank env skipped
-
-    def test_true_and_false_words(self):
-        for word in ("1", "true", "YES", " On "):
-            assert parse_footprint_flag(word) is True
-        for word in ("0", "false", "No", " off "):
-            assert parse_footprint_flag(word) is False
-
-    def test_malformed_env_warns_and_falls_back(self, monkeypatch, caplog):
-        monkeypatch.setenv(FOOTPRINT_ENV, "banana")
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            assert footprint_enabled() is True
-        record, = log.events_named(caplog.records, "knob.ignored")
-        assert record.repro_fields["knob"] == FOOTPRINT_ENV
-        assert record.repro_fields["value"] == "banana"
 
 
 class TestFootprintLogEvent:

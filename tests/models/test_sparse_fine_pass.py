@@ -1,31 +1,29 @@
 """Packed fine pass == padded reference, byte for byte.
 
-The sparse fine pass (``repro.models.sparse``, ISSUE 9) gathers the
+The sparse fine pass (``GeneralizableNeRF.forward``) gathers the
 mask-valid samples, runs feature fetch + the pointwise MLP stacks on
 flat packed buffers, and scatters zeros back before the cross-point
 module.  Its contract is *byte-identity* with the pinned padded path
 (:func:`repro.perf.reference.model_forward_padded`): every committed
-artefact regenerates unchanged whether the knob is on or off.  This
-suite pins that for both model classes (IBRNet with mixer and
-transformer ray modules, Gen-NeRF end-to-end), every scene family
-including the occupancy-stress ones, explicit and adaptive chunking,
-and 1/2/4 workers — plus the ``REPRO_SPARSE`` knob semantics.
+artefact regenerates unchanged whether it packs or not.  This suite
+pins that for both model classes (IBRNet with mixer and transformer
+ray modules, Gen-NeRF end-to-end), every scene family including the
+occupancy-stress ones, explicit and adaptive chunking, and 1/2/4
+workers.
 """
-
-import logging
 
 import numpy as np
 import pytest
 
 from repro import nn
-from repro.core import frame_pool, log
+from repro.core import frame_pool
 from repro.geometry.rays import rays_for_image, stratified_depths
 from repro.models import (GenNeRF, GenNerfConfig, GeneralizableNeRF,
                           ModelConfig, render_image_gen_nerf,
                           render_source_views)
 from repro.models.ibrnet import PACK_STATS
 from repro.models.sampling import coarse_then_focus_plan
-from repro.models.sparse import SPARSE_ENV, parse_sparse_flag, sparse_enabled
+from repro.nn import regime
 from repro.perf.reference import model_forward_padded
 from repro.scenes.datasets import make_scene
 from repro.scenes.render_gt import composite_numpy, field_sigma_color
@@ -117,8 +115,8 @@ class TestGenNerfEndToEnd:
     """Full ``render_image_gen_nerf`` equivalence at every width.
 
     The padded reference always renders in-process (``workers=1``) with
-    the knob forced off; packed renders fan over the worker pool, whose
-    subprocesses resolve the knob to its default (on)."""
+    the host probe forced to fail; packed renders fan over the worker
+    pool, whose subprocesses use the real probe."""
 
     @pytest.fixture(scope="class")
     def rendered(self, family_setups, class_monkeypatch):
@@ -130,12 +128,13 @@ class TestGenNerfEndToEnd:
                                           focused_points=4),
                             rng=np.random.default_rng(0)).eval()
             feature_maps = model.encode_scene(source_images)
-            class_monkeypatch.setenv(SPARSE_ENV, "0")
+            class_monkeypatch.setattr(regime, "host_matches",
+                                      lambda: False)
             padded = render_image_gen_nerf(model, scene, source_images,
                                            step=4, chunk=64,
                                            feature_maps=feature_maps,
                                            workers=1)
-            class_monkeypatch.delenv(SPARSE_ENV)
+            class_monkeypatch.undo()
             results[family] = (scene, source_images, model, feature_maps,
                                padded)
         return results
@@ -171,69 +170,9 @@ class TestGenNerfEndToEnd:
         assert packed[0].tobytes() == padded[0].tobytes()
         assert packed[1] == padded[1]
 
-    def test_render_rays_sparse_argument(self, family_setups):
-        """``render_rays(..., sparse=...)`` forwards the override."""
-        scene, source_images, bundle, _ = family_setups["orbit_sparse"]
-        model = GenNeRF(GenNerfConfig(fine=ModelConfig(**TINY_MODEL),
-                                      coarse_points=6, focused_points=4),
-                        rng=np.random.default_rng(0)).eval()
-        with nn.inference_mode():
-            coarse_maps, fine_maps = model.encode_scene(source_images)
-            before = dict(PACK_STATS)
-            on = model.render_rays(bundle, scene.source_cameras,
-                                   coarse_maps, fine_maps, source_images,
-                                   sparse=True)
-            mid = dict(PACK_STATS)
-            off = model.render_rays(bundle, scene.source_cameras,
-                                    coarse_maps, fine_maps, source_images,
-                                    sparse=False)
-        assert on.data.tobytes() == off.data.tobytes()
-        assert mid["packed"] > before["packed"]
-        assert PACK_STATS["packed"] == mid["packed"]
-
 
 @pytest.fixture(scope="class")
 def class_monkeypatch():
     patcher = pytest.MonkeyPatch()
     yield patcher
     patcher.undo()
-
-
-class TestSparseKnob:
-    def test_env_off_switch(self, family_setups, monkeypatch):
-        """``REPRO_SPARSE=0`` disables packing wholesale."""
-        scene, source_images, bundle, plan = family_setups["orbit_sparse"]
-        model = GeneralizableNeRF(ModelConfig(**TINY_MODEL),
-                                  rng=np.random.default_rng(0)).eval()
-        monkeypatch.setenv(SPARSE_ENV, "0")
-        with nn.inference_mode():
-            maps = model.encode_scene(source_images)
-            before = dict(PACK_STATS)
-            model(bundle.points_at(plan.depths), bundle.directions,
-                  scene.source_cameras, maps, source_images,
-                  mask=plan.mask)
-        assert PACK_STATS["packed"] == before["packed"]
-        assert PACK_STATS["dense"] == before["dense"] + 1
-
-    def test_priority_argument_env_default(self, monkeypatch):
-        monkeypatch.delenv(SPARSE_ENV, raising=False)
-        assert sparse_enabled() is True              # default: on
-        monkeypatch.setenv(SPARSE_ENV, "off")
-        assert sparse_enabled() is False             # env wins
-        assert sparse_enabled(override=True) is True  # argument beats env
-        monkeypatch.setenv(SPARSE_ENV, "   ")
-        assert sparse_enabled() is True              # blank env skipped
-
-    def test_true_and_false_words(self):
-        for word in ("1", "true", "YES", " On "):
-            assert parse_sparse_flag(word) is True
-        for word in ("0", "false", "No", " off "):
-            assert parse_sparse_flag(word) is False
-
-    def test_malformed_env_warns_and_falls_back(self, monkeypatch, caplog):
-        monkeypatch.setenv(SPARSE_ENV, "banana")
-        with caplog.at_level(logging.WARNING, logger="repro"):
-            assert sparse_enabled() is True
-        record, = log.events_named(caplog.records, "knob.ignored")
-        assert record.repro_fields["knob"] == SPARSE_ENV
-        assert record.repro_fields["value"] == "banana"

@@ -8,7 +8,10 @@ Walks ``README.md`` and everything under ``docs/`` and verifies that
   ``path::TestName`` pytest references, and
 * backticked dotted code references rooted at ``repro`` import and
   resolve attribute by attribute (so renaming a function without
-  updating the docs fails CI).
+  updating the docs fails CI), and
+* backticked ``REPRO_*`` env-knob names appear as a string somewhere
+  in ``src/repro`` (so deleting a knob without updating the docs fails
+  CI).
 
 External URLs are not fetched — the repo is offline; only repo-local
 targets are validated.
@@ -22,10 +25,12 @@ import pytest
 
 REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DOCS_DIR = os.path.join(REPO_ROOT, "docs")
+SRC_DIR = os.path.join(REPO_ROOT, "src", "repro")
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_RE = re.compile(r"`([^`\n]+)`")
 MODULE_RE = re.compile(r"^repro(\.[A-Za-z_][A-Za-z0-9_]*)+$")
+KNOB_RE = re.compile(r"REPRO_[A-Z_]+")
 PATH_PREFIXES = ("src/", "docs/", "tests/", "benchmarks/", "examples/")
 ROOT_FILE_EXTENSIONS = (".md", ".json")
 
@@ -109,3 +114,23 @@ def test_code_references_resolve(path):
             broken.append(token)
     assert not broken, \
         f"stale code references in {os.path.basename(path)}: {broken}"
+
+
+def _source_text() -> str:
+    parts = []
+    for root, _, names in os.walk(SRC_DIR):
+        for name in sorted(names):
+            if name.endswith(".py"):
+                with open(os.path.join(root, name)) as handle:
+                    parts.append(handle.read())
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("path", doc_files(), ids=doc_ids())
+def test_knob_names_exist_in_source(path):
+    source = _source_text()
+    names = {name for token in CODE_RE.findall(open(path).read())
+             for name in KNOB_RE.findall(token)}
+    dead = sorted(name for name in names
+                  if f'"{name}"' not in source and f"'{name}'" not in source)
+    assert not dead, f"unknown env knobs in {os.path.basename(path)}: {dead}"
