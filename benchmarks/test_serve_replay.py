@@ -2,8 +2,9 @@
 replay through the serving scheduler (``repro.core.serve``) at several
 concurrency levels plus a burst that overruns the queue limit — through
 the experiment registry.  Every row is deterministic in the trace seed
-and byte-identical at any worker width, so the shape assertions here
-double as the committed artefact's regeneration gate."""
+and byte-identical at any worker width, so the ``report`` fixture
+compares it byte for byte with the committed artefact, and the last
+assertion here repeats that comparison."""
 
 import os
 
@@ -56,8 +57,7 @@ def test_serve_replay(benchmark, report):
     assert burst["completed"] == params["queue_limit"]
 
     # Regeneration gate: the run we just did matches the committed
-    # artefact byte for byte (the ``report`` fixture rewrote it, so
-    # compare against the rendered text directly).
+    # artefact byte for byte (the ``report`` fixture never writes it).
     committed = open(os.path.join(
         RESULTS_DIR, f"{experiment.artefact}.txt")).read()
     assert result.text + "\n" == committed

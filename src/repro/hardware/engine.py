@@ -125,6 +125,30 @@ def ray_module_gemms(workload: RenderWorkload, num_rays: int
     ]
 
 
+def _round_balances(balances: np.ndarray) -> np.ndarray:
+    """``round(float(b), 3)`` for every element, bit for bit.
+
+    Python rounds the exact binary value to 3 decimals, while numpy's
+    ``np.round`` rounds the scaled product ``b * 1000``: ``round(0.0005,
+    3)`` is 0.001 but ``np.round(0.0005, 3)`` is 0.0, and ``round(0.1235,
+    3)`` is 0.123 but ``np.round`` gives 0.124.  The product is off by at
+    most half an ulp, below 1e-6 while ``|b * 1000| < 2**32``, so its
+    nearest integer is Python's wherever it lies more than 1e-6 from a
+    half-integer; elements closer than that, larger, or not finite are
+    rounded by Python itself.
+    """
+    balances = np.asarray(balances, dtype=np.float64)
+    scaled = balances * 1000.0
+    nearest = np.rint(scaled)
+    rounded = nearest / 1000.0
+    with np.errstate(invalid="ignore"):
+        sure = ((np.abs(np.abs(scaled - nearest) - 0.5) > 1e-6)
+                & (np.abs(scaled) < 2.0 ** 32))
+    for index in np.flatnonzero(~sure).tolist():
+        rounded[index] = round(float(balances[index]), 3)
+    return rounded
+
+
 class RenderingEngine:
     """Compute-side model shared by all accelerator variants."""
 
@@ -144,10 +168,13 @@ class RenderingEngine:
         never key on id(): CPython reuses addresses after GC and a
         stale hit would silently time the wrong configuration.  The
         balance rounds to 3 decimals, so patches whose balances differ
-        only past that share one entry (first occurrence wins).
+        only past that share one entry (first occurrence wins).  It is
+        rounded as a Python float whatever its type: ``round`` on a
+        numpy float would use numpy's rule, which differs (0.1235 gives
+        0.124, not 0.123).
         """
-        return (num_points, num_rays, round(sram_balance, 3), coarse_stage,
-                workload)
+        return (num_points, num_rays, round(float(sram_balance), 3),
+                coarse_stage, workload)
 
     def patch_compute(self, workload: RenderWorkload, num_points: int,
                       num_rays: int, sram_balance: float = 1.0,
@@ -197,61 +224,62 @@ class RenderingEngine:
                            sram_balance: np.ndarray) -> PatchComputeBatch:
         """Per-patch compute arrays *through the memoisation cache*.
 
-        The batched front door the frame simulator uses: patches are
-        deduplicated to the scalar :meth:`patch_compute` cache keys —
-        processing unique inputs in first-occurrence order, so a later
-        patch whose balance differs only past the key's 3rd decimal
-        reuses the first patch's result — and only representatives
-        missing from the cache run through :meth:`patch_compute_batch`.
-        Cached results persist across calls exactly as the scalar
-        path's do, so mixing scalar and batched callers on one engine
-        stays bit-identical to an all-scalar run.
+        The batched front door the frame simulator uses.  Patches group
+        by the scalar :meth:`patch_compute` cache key — (points, rays,
+        balance rounded as :func:`_round_balances` rounds it) — in one
+        array pass, so the Python work is one dict lookup per distinct
+        key, not per patch.  Each key missing from the cache runs
+        through one :meth:`patch_compute_batch` call, one row per key
+        in first-occurrence order, with the unrounded balance of the
+        key's first patch: a later patch whose balance differs only
+        past the 3rd decimal reuses the first patch's result.  Cached
+        results persist across calls exactly as the scalar path's do,
+        so mixing scalar and batched callers on one engine stays
+        bit-identical to an all-scalar run.
         """
         num_points = np.asarray(num_points, dtype=np.int64)
         num_rays = np.asarray(num_rays, dtype=np.int64)
         sram_balance = np.asarray(sram_balance, dtype=np.float64)
-        triples = np.stack([num_points.astype(np.float64),
-                            num_rays.astype(np.float64), sram_balance],
-                           axis=1)
-        unique, first_index, inverse = np.unique(
-            triples, axis=0, return_index=True, return_inverse=True)
-        inverse = inverse.reshape(-1)
-        order = np.argsort(first_index, kind="stable")
+        # + 0.0 makes -0.0 the key 0.0, as a dict key does.
+        rounded = _round_balances(sram_balance) + 0.0
+        bits = rounded.view(np.int64)
+        # lexsort is stable, so each key's run lists its patches in
+        # order and starts with its first occurrence.
+        order = np.lexsort((bits, num_rays, num_points))
+        new_key = np.zeros(order.shape[0], dtype=bool)
+        new_key[:1] = True
+        for column in (num_points, num_rays, bits):
+            ordered = column[order]
+            new_key[1:] |= ordered[1:] != ordered[:-1]
+        # Number the keys by first occurrence.
+        first = order[new_key]
+        by_first = np.argsort(first)
+        first = first[by_first]
+        rank = np.empty_like(by_first)
+        rank[by_first] = np.arange(by_first.shape[0])
+        inverse = np.empty_like(order)
+        inverse[order] = rank[np.cumsum(new_key) - 1]
 
-        keys = [None] * unique.shape[0]
-        representative: Dict[tuple, int] = {}
-        missing = []
-        for uid in order.tolist():
-            key = self._cache_key(int(unique[uid, 0]), int(unique[uid, 1]),
-                                  float(unique[uid, 2]), False, workload)
-            rep = representative.setdefault(key, uid)
-            keys[uid] = key
-            if rep == uid and key not in self._cache:
-                missing.append(uid)
-
+        keys = [self._cache_key(points, rays, balance, False, workload)
+                for points, rays, balance in zip(
+                    num_points[first].tolist(), num_rays[first].tolist(),
+                    rounded[first].tolist())]
+        computes = [self._cache.get(key) for key in keys]
+        missing = [slot for slot, compute in enumerate(computes)
+                   if compute is None]
         if missing:
-            reps = np.array(missing, dtype=np.int64)
+            patches = first[missing]
             batch = self.patch_compute_batch(
-                workload, unique[reps, 0].astype(np.int64),
-                unique[reps, 1].astype(np.int64), unique[reps, 2])
-            for slot, uid in enumerate(missing):
-                self._cache[keys[uid]] = batch.scalar(slot)
+                workload, num_points[patches], num_rays[patches],
+                sram_balance[patches])
+            for row, slot in enumerate(missing):
+                computes[slot] = self._cache[keys[slot]] = batch.scalar(row)
 
-        num_unique = unique.shape[0]
-        ppu = np.empty(num_unique)
-        pool_cycles = np.empty(num_unique)
-        sfu = np.empty(num_unique)
-        macs = np.empty(num_unique)
-        for uid in range(num_unique):
-            compute = self._cache[keys[uid]]
-            ppu[uid] = compute.ppu_cycles
-            pool_cycles[uid] = compute.pool_cycles
-            sfu[uid] = compute.sfu_cycles
-            macs[uid] = compute.pool_macs
-        return PatchComputeBatch(ppu_cycles=ppu[inverse],
-                                 pool_cycles=pool_cycles[inverse],
-                                 sfu_cycles=sfu[inverse],
-                                 pool_macs=macs[inverse])
+        return PatchComputeBatch(**{
+            name: np.array([getattr(compute, name) for compute in computes],
+                           dtype=np.float64)[inverse]
+            for name in ("ppu_cycles", "pool_cycles", "sfu_cycles",
+                         "pool_macs")})
 
     def patch_compute_batch(self, workload: RenderWorkload,
                             num_points: np.ndarray, num_rays: np.ndarray,

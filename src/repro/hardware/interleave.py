@@ -87,9 +87,9 @@ def spatial_skew(num_banks: int) -> int:
 
 def _spatial_window_table(num_banks: int) -> np.ndarray:
     """Per-bank remainder loads of up to one period of spatially
-    interleaved rows.
+    interleaved rows, bank-major.
 
-    Row ``(s, p, c)`` of the returned (B*(B+1)*B, B) int64 table, at
+    Column ``(s, p, c)`` of the returned (B, B*(B+1)*B) int64 table, at
     index ``(s*(B+1) + p)*B + c``, counts for each bank how many of
     ``p`` consecutive feature rows cover it with their length-``c``
     column window when the first of those rows starts on bank ``s``
@@ -106,7 +106,7 @@ def _spatial_window_table(num_banks: int) -> np.ndarray:
     table = np.zeros((num_banks, num_banks + 1, num_banks, num_banks),
                      dtype=np.int64)
     np.cumsum(covers[row_starts], axis=1, out=table[:, 1:])
-    return table.reshape(-1, num_banks)
+    return np.ascontiguousarray(table.reshape(-1, num_banks).T)
 
 
 def _residue_counts(start: int, stop: int, modulus: int) -> np.ndarray:
@@ -228,23 +228,27 @@ class FeatureStore:
         Returns ``(loads, acts)`` as (N, num_banks) int64 arrays whose
         per-element arithmetic matches the scalar method exactly, so
         row *i* equals ``rectangle_bank_load(regions[i], num_banks)``
-        bit for bit (everything here is integer math).
+        bit for bit (everything here is integer math).  Both are
+        transposes of bank-major (num_banks, N) C-contiguous arrays:
+        one bank's loads over consecutive regions sit in contiguous
+        memory, which is how :func:`batched_bank_load` sums them.
 
         This is the frame simulator's hot path: an 800x800 frame plan
         holds ~10^5 (patch, view) rectangles, and the former per-patch
         Python loop over :func:`bank_load_for_footprints` dominated
         ``simulate_frame`` (see ``docs/performance.md``).  Every layout
         costs O(num_banks) per rectangle, whatever its area: the
-        spatial layout gathers two rows of :func:`_spatial_window_table`
-        per rectangle, a table of B*(B+1)*B rows of B ints built per
-        call in well under a millisecond.
+        spatial layout gathers two columns of
+        :func:`_spatial_window_table` per rectangle, a table of
+        B*(B+1)*B columns of B ints built per call in well under a
+        millisecond.
         """
         regions = np.asarray(regions, dtype=np.int64).reshape(-1, 5)
         n = regions.shape[0]
-        loads = np.zeros((n, num_banks), dtype=np.int64)
-        acts = np.zeros((n, num_banks), dtype=np.int64)
+        loads = np.zeros((num_banks, n), dtype=np.int64)
+        acts = np.zeros((num_banks, n), dtype=np.int64)
         if n == 0:
-            return loads, acts
+            return loads.T, acts.T
         view = regions[:, 0]
         row0, row1 = regions[:, 1], regions[:, 2]
         col0, col1 = regions[:, 3], regions[:, 4]
@@ -252,7 +256,8 @@ class FeatureStore:
         cols = np.maximum(0, col1 - col0)
         valid = (rows > 0) & (cols > 0)
         if not valid.any():
-            return loads, acts
+            return loads.T, acts.T
+        bank = np.arange(num_banks, dtype=np.int64)[:, None]
 
         if self.layout == "row_major":
             rows_per_bank = max(1, (self.num_views * self.height)
@@ -262,16 +267,13 @@ class FeatureStore:
             # Bank b < B-1 owns feature rows [b*rpb, (b+1)*rpb); the
             # last bank absorbs the tail (the scalar path's min(.., B-1)
             # clamp).  Row counts are interval overlaps.
-            starts = np.arange(num_banks, dtype=np.int64) * rows_per_bank
+            starts = bank * rows_per_bank
             ends = starts + rows_per_bank
             ends[-1] = np.iinfo(np.int64).max
-            row_counts = np.maximum(
-                0, np.minimum(flat1[:, None], ends[None, :])
-                - np.maximum(flat0[:, None], starts[None, :]))
-            row_counts[~valid] = 0
-            loads = row_counts * cols[:, None]
-            acts = row_counts
-            return loads, acts
+            acts = np.maximum(0, np.minimum(flat1, ends)
+                              - np.maximum(flat0, starts))
+            acts[:, ~valid] = 0
+            return (acts * cols).T, acts.T
 
         if self.layout == "row_interleaved":
             flat0 = view * self.height + row0
@@ -279,29 +281,24 @@ class FeatureStore:
             # Closed-form residue counts: #x in [s, e) with x % B == b
             # is ceil((e-b)/B) - ceil((s-b)/B); numerators stay >= 0
             # here so plain floor division implements the ceilings.
-            bank = np.arange(num_banks, dtype=np.int64)
-            row_counts = ((flat1[:, None] - bank + num_banks - 1)
-                          // num_banks
-                          - (flat0[:, None] - bank + num_banks - 1)
-                          // num_banks)
-            row_counts[~valid] = 0
-            loads = row_counts * cols[:, None]
-            acts = row_counts
-            return loads, acts
+            acts = ((flat1 - bank + num_banks - 1) // num_banks
+                    - (flat0 - bank + num_banks - 1) // num_banks)
+            acts[:, ~valid] = 0
+            return (acts * cols).T, acts.T
 
         if self.layout == "view_interleaved":
             idx = np.flatnonzero(valid)
-            bank = view[idx] % num_banks
-            loads[idx, bank] = rows[idx] * cols[idx]
-            acts[idx, bank] = rows[idx]
-            return loads, acts
+            owner = view[idx] % num_banks
+            loads[owner, idx] = rows[idx] * cols[idx]
+            acts[owner, idx] = rows[idx]
+            return loads.T, acts.T
 
         # spatial_interleaved, in closed form.  Every row loads
         # ``cols // B`` on every bank plus one on each bank of its
         # length-``cols % B`` window.  Row r's window starts on bank
         # (skew*r + col0) mod B, which repeats every B rows, so a
         # region's windows are ``rows // B`` whole periods plus one
-        # partial period, each a whole row of the window table.  An
+        # partial period, each a whole column of the window table.  An
         # empty span has no rows or a zero-length window: it loads
         # nothing.
         base, remainder = np.divmod(cols, num_banks)
@@ -310,11 +307,11 @@ class FeatureStore:
         whole = (first * (num_banks + 1) + num_banks) * num_banks + remainder
         part = (first * (num_banks + 1) + partial) * num_banks + remainder
         windows = _spatial_window_table(num_banks)
-        extra = (periods[:, None] * windows.take(whole, axis=0)
-                 + windows.take(part, axis=0))
-        loads = (rows * base)[:, None] + extra
-        acts = np.where(base[:, None] > 0, rows[:, None], extra)
-        return loads, acts
+        extra = (periods * windows.take(whole, axis=1)
+                 + windows.take(part, axis=1))
+        loads = rows * base + extra
+        acts = np.where(base > 0, rows, extra)
+        return loads.T, acts.T
 
 
 def bank_load_for_footprints(store: FeatureStore,
@@ -346,12 +343,15 @@ def batched_bank_load(store: FeatureStore, regions: np.ndarray,
     """:func:`bank_load_for_footprints` for many footprint groups at once.
 
     ``regions`` is (N, 5) int64 with the groups stored contiguously:
-    group ``p`` owns ``counts[p]`` consecutive rows.  Returns
-    ``(bytes, acts)`` as (P, num_banks) float64/int64 arrays; row ``p``
-    equals ``bank_load_for_footprints`` over group ``p``'s regions —
-    exactly, not approximately: the per-region loads are integers, so
-    the float accumulation order of the scalar loop cannot change the
-    sums, and the activation counts are pure int64 math.
+    group ``p`` owns ``counts[p]`` consecutive rows (any count, zero
+    included).  Returns ``(bytes, acts)`` as C-contiguous (P, num_banks)
+    float64/int64 arrays; row ``p`` equals ``bank_load_for_footprints``
+    over group ``p``'s regions — exactly, not approximately: the
+    per-region loads are integers, so the float accumulation order of
+    the scalar loop cannot change the sums, and the activation counts
+    are pure int64 math.  The groups are summed along each bank's
+    contiguous row of the bank-major loads, one ``reduceat`` per bank
+    row, rather than across the (N, banks) rows.
     """
     counts = np.asarray(counts, dtype=np.int64)
     num_groups = counts.shape[0]
@@ -364,9 +364,9 @@ def batched_bank_load(store: FeatureStore, regions: np.ndarray,
         nonempty = np.flatnonzero(counts > 0)
         if nonempty.size:
             group_loads[nonempty] = np.add.reduceat(
-                loads, offsets[nonempty], axis=0)
+                loads.T, offsets[nonempty], axis=1).T
             group_acts[nonempty] = np.add.reduceat(
-                acts, offsets[nonempty], axis=0)
+                acts.T, offsets[nonempty], axis=1).T
     return group_loads * float(store.location_bytes), group_acts
 
 

@@ -314,6 +314,16 @@ def _polygon_areas(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     argsorted as the same row-major (N, 8) array, since the order of
     ties depends on that layout; and the shoelace terms are added in
     numpy's 8-element pairwise order, which the seed's row sums use.
+
+    The default ``argsort`` is not stable, so the order of tied angles
+    comes from numpy's SIMD dispatch for the host (numpy 2.4.6 on a
+    SkylakeX core returned ``[.., 6, 2, ..]`` where a stable sort gives
+    ``[.., 2, 6, ..]``).  A frustum whose eight corners clip onto one
+    border column has tied angles, and its shoelace residue depends on
+    that order: over the perfbench ``simulate`` sweep at seeds 1-3, 446
+    of 11,512,386 (frustum, view) areas differ from a stable sort's, by
+    at most 9.1e-13, and at seed 1 no plan or frame statistic changes.
+    A host-independent order would change bits, so it is left as is.
     """
     count = x.shape[1]
     angles = np.arctan2(y - y.mean(axis=0), x - x.mean(axis=0))
@@ -588,13 +598,16 @@ def _ordered_sum(values: np.ndarray) -> float:
     ``np.sum`` reduces pairwise, which can differ from sequential
     accumulation in the last bits; plan and frame totals are pinned
     bit-identical to the seed loops in :mod:`repro.perf.reference`, so
-    they keep the loops' order (~10^4 Python float adds, ~1 ms — noise
-    next to the array passes they summarise).
+    they keep the loops' order.  ``np.cumsum`` in float64 is that
+    sequential accumulate, each value converted to float64 first as
+    ``total += value`` converts it.  The loop starts from ``0.0``, so
+    an all-``-0.0`` input totals ``0.0``; adding the last partial sum
+    to ``0.0`` does the same.
     """
-    total = 0.0
-    for value in np.asarray(values).tolist():
-        total += value
-    return total
+    values = np.asarray(values)
+    if values.size == 0:
+        return 0.0
+    return 0.0 + float(np.cumsum(values, dtype=np.float64)[-1])
 
 
 def _delta_column_spans(bboxes: np.ndarray, delta_locs: np.ndarray
