@@ -9,31 +9,43 @@ and the quantity every hardware experiment in this repo accounts for.
 The bilinear gather is differentiable so encoder training works; the
 geometric projection itself is constant w.r.t. model parameters.
 
-Performance note: this is the end-to-end render path's dominant
-non-GEMM cost, so the per-view Python loop is gone — all S views gather
-through one flat-indexed corner lookup into the *stacked* channel-last
-feature tensor that :meth:`repro.models.encoder.ConvEncoder.encode_views`
-now returns, and the source-colour / direction-delta / visibility
-arrays are computed for the whole (S, R, P) block at once.  Only the
-camera projection itself stays per-view (each view has its own
-extrinsics; the matmul is a trivial cost).  The feature gather and the
-visibility test keep per-element arithmetic unchanged and are
-bit-identical to the per-view loop; the colour and direction lerps
-deliberately run at float32 (they feed float32 MLPs), agreeing with the
-seed's float64 versions to interpolation tolerance —
+Performance note: this is the render path's largest non-GEMM cost
+(Fig. 2's "Acquire"), so it is built to touch each byte once.  Only the
+camera projection stays per view (each view has its own extrinsics; the
+matmul is a trivial cost).  Everything downstream of the projected
+pixels covers the whole (S, R, P) block at once:
+
+* :func:`_bilinear_corners` computes the four flat corner rows and the
+  float32 fractions once per map — once for the stacked channel-last
+  feature tensor :meth:`repro.models.encoder.ConvEncoder.encode_views`
+  returns, once for the source images;
+* :func:`repro.nn.functional.bilinear_rows` reads each corner with
+  ``np.take`` and lerps in place in three reused buffers; it is one
+  graph node in grad mode and graph-free in inference mode, and the
+  colour gather runs the same forward on the plain image array;
+* :func:`_batched_direction_features` works on per-axis (S, R, P)
+  float32 planes written into one preallocated (S, R, P, 4) output.
+
+Every output and gradient byte is what the composed expressions the
+fetch used before gave (``tests/models/test_fetch_in_place.py`` keeps
+those expressions as its oracle).  Against the per-view seed loop
+(:func:`repro.perf.reference.fetch_features_loop`), features and
+visibility are bit-identical; the colour and direction lerps run at
+float32 (they feed float32 MLPs) and agree with the seed's float64
+versions to interpolation tolerance —
 ``tests/models/test_render_e2e_equivalence.py`` pins both.
-``benchmarks/harness.py::render_rays_e2e_r1024`` times the effect.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from ..geometry.camera import Camera
 from ..nn import Tensor, concatenate
+from ..nn.functional import bilinear_rows
 
 
 def bilinear_gather(feature_map: Tensor, pixels: np.ndarray) -> Tensor:
@@ -77,37 +89,38 @@ def stacked_feature_maps(feature_maps: Union[Tensor, Sequence[Tensor]]
     return concatenate([m.expand_dims(0) for m in feature_maps], axis=0)
 
 
-def _batched_bilinear_gather(stacked: Tensor, pixels: np.ndarray) -> Tensor:
-    """Bilinear interpolation of all views at once.
+def _bilinear_corners(pixels: np.ndarray, height: int, width: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat corner rows and float32 fractions of ``pixels`` on an
+    (S, H, W) stack of maps.
 
-    ``stacked`` is (S, H, W, C) channel-last; ``pixels`` (S, N, 2) gives
-    each view its own projection of the same N points.  The four corner
-    gathers become single flat-index lookups into the (S*H*W, C) view of
-    the stacked tensor — one graph node each instead of 4*S — and the
-    lerp arithmetic is element-for-element the same as
-    :func:`bilinear_gather`, so outputs are bit-identical to the
-    per-view loop.
+    ``pixels`` is (S, ..., 2) in (u, v) order, one projection per view.
+    Returns ``rows``, a (4, S, ...) int64 array of rows in the maps'
+    (S*H*W) flattening for the corners 00, 01, 10 and 11, and the
+    (S, ..., 1) float32 fractions ``fx`` and ``fy`` — the operands of
+    :func:`repro.nn.functional.bilinear_rows`.  The corner arithmetic is
+    :func:`bilinear_gather`'s: coordinates clip to the map (out-of-bounds
+    pixels read the border; callers mask them separately) and the high
+    corner clamps at the last row and column.
     """
-    num_views, height, width = stacked.shape[0], stacked.shape[1], stacked.shape[2]
-    pix = np.asarray(pixels, dtype=np.float64)
-    u = np.clip(pix[..., 0], 0.0, width - 1.0)
-    v = np.clip(pix[..., 1], 0.0, height - 1.0)
+    u = np.clip(pixels[..., 0], 0.0, width - 1.0)
+    v = np.clip(pixels[..., 1], 0.0, height - 1.0)
     x0 = np.floor(u).astype(np.int64)
     y0 = np.floor(v).astype(np.int64)
     x1 = np.minimum(x0 + 1, width - 1)
     y1 = np.minimum(y0 + 1, height - 1)
     fx = (u - x0).astype(np.float32)[..., None]
     fy = (v - y0).astype(np.float32)[..., None]
-
-    flat = stacked.reshape(num_views * height * width, stacked.shape[3])
-    base = (np.arange(num_views, dtype=np.int64) * height * width)[:, None]
-    f00 = flat[base + y0 * width + x0]
-    f01 = flat[base + y0 * width + x1]
-    f10 = flat[base + y1 * width + x0]
-    f11 = flat[base + y1 * width + x1]
-    top = f00 * (1.0 - fx) + f01 * fx
-    bottom = f10 * (1.0 - fx) + f11 * fx
-    return top * (1.0 - fy) + bottom * fy
+    base = np.arange(pixels.shape[0], dtype=np.int64) * (height * width)
+    base = base.reshape((-1,) + (1,) * (u.ndim - 1))
+    top = base + y0 * width
+    bottom = base + y1 * width
+    rows = np.empty((4,) + u.shape, dtype=np.int64)
+    np.add(top, x0, out=rows[0])
+    np.add(top, x1, out=rows[1])
+    np.add(bottom, x0, out=rows[2])
+    np.add(bottom, x1, out=rows[3])
+    return rows, fx, fy
 
 
 @dataclass
@@ -149,19 +162,34 @@ def _batched_direction_features(points: np.ndarray, ray_dirs: np.ndarray,
                                 centers: np.ndarray) -> np.ndarray:
     """:func:`direction_features` for all S views at once, (S, R, P, 4).
 
-    Computed in float32: the encoding is consumed by float32 MLPs, so
-    carrying the intermediate geometry at float64 (as the per-view
-    version did) doubled the memory traffic of an op that runs for
-    every (view, ray, point) of every frame.
+    Computed in float32 on per-axis (S, R, P) planes: the encoding is
+    consumed by float32 MLPs, so the geometry is rounded to float32 as
+    it is formed (one float64 subtraction per element, cast on write)
+    and every later step runs in place on the planes or writes straight
+    into the one preallocated output.  The norm adds
+    ``(x*x + y*y) + z*z`` and the dot ``(tx*sx + ty*sy) + tz*sz``:
+    written in that order, the sums are the ones ``np.sum(axis=-1)``
+    computed over the interleaved (S, R, P, 3) form, bit for bit, and
+    the same on every host.
     """
-    to_point = (points[None] - centers[:, None, None, :]).astype(np.float32)
-    norms = np.sqrt(np.sum(to_point * to_point, axis=-1, keepdims=True))
-    source_dirs = to_point / np.maximum(norms, 1e-9)
-    target_dirs = np.broadcast_to(
-        ray_dirs[None, :, None, :].astype(np.float32), to_point.shape)
-    diff = target_dirs - source_dirs
-    dot = np.sum(target_dirs * source_dirs, axis=-1, keepdims=True)
-    return np.concatenate([diff, dot], axis=-1)
+    num_views = centers.shape[0]
+    rays, pts_per_ray = points.shape[0], points.shape[1]
+    planes = np.empty((3, num_views, rays, pts_per_ray), dtype=np.float32)
+    for axis in range(3):
+        np.subtract(points[None, :, :, axis], centers[:, axis, None, None],
+                    out=planes[axis], casting="same_kind")
+    x, y, z = planes
+    norms = np.sqrt((x * x + y * y) + z * z)
+    np.maximum(norms, 1e-9, out=norms)
+    planes /= norms
+    target = ray_dirs.T.astype(np.float32)[:, None, :, None]
+    out = np.empty((num_views, rays, pts_per_ray, 4), dtype=np.float32)
+    np.subtract(target, planes, out=np.moveaxis(out[..., :3], -1, 0))
+    planes *= target
+    dot = out[..., 3]
+    np.add(planes[0], planes[1], out=dot)
+    dot += planes[2]
+    return out
 
 
 def fetch_features(points: np.ndarray, ray_dirs: np.ndarray,
@@ -189,16 +217,18 @@ def fetch_features(points: np.ndarray, ray_dirs: np.ndarray,
         pixels_sv[index], depth_sv[index] = camera.project(flat_points,
                                                            return_depth=True)
     finite = np.isfinite(pixels_sv).all(axis=-1) & (depth_sv > 1e-6)
-    safe_pixels = np.where(finite[..., None], pixels_sv, 0.0)
+    safe_pixels = np.where(finite[..., None], pixels_sv, 0.0).reshape(
+        num_views, rays, pts_per_ray, 2)
 
-    gathered = _batched_bilinear_gather(maps, safe_pixels * feature_scale)
-    features = gathered.reshape(num_views, rays, pts_per_ray,
-                                gathered.shape[-1])
+    rows, fx, fy = _bilinear_corners(safe_pixels * feature_scale,
+                                     maps.shape[1], maps.shape[2])
+    features = bilinear_rows(maps, rows, fx, fy)
 
     images_hwc = np.ascontiguousarray(
-        np.transpose(source_images, (0, 2, 3, 1)).astype(np.float32))
-    rgb = _bilinear_numpy_batched(images_hwc, safe_pixels)
-    view_rgb = rgb.reshape(num_views, rays, pts_per_ray, 3)
+        np.transpose(source_images, (0, 2, 3, 1)), dtype=np.float32)
+    rows, fx, fy = _bilinear_corners(safe_pixels, images_hwc.shape[1],
+                                     images_hwc.shape[2])
+    view_rgb = bilinear_rows(images_hwc, rows, fx, fy).data
 
     centers = np.stack([camera.center for camera in source_cameras], axis=0)
     view_dirs = _batched_direction_features(points, ray_dirs, centers)
@@ -249,34 +279,6 @@ def fetched_pixel_mask(points: np.ndarray,
         view[y1, x0] = True
         view[y1, x1] = True
     return mask
-
-
-def _bilinear_numpy_batched(images_shwc: np.ndarray,
-                            pixels: np.ndarray) -> np.ndarray:
-    """Plain-numpy bilinear sample over all views: (S, H, W, C) at (S, N, 2).
-
-    The lerp runs in float32 (corner selection stays float64): the
-    per-view version promoted the float32 image to float64 through the
-    whole interpolation only to cast back, which doubled the traffic of
-    the render path's largest numpy gather.
-    """
-    num_views, height, width = images_shwc.shape[:3]
-    flat = images_shwc.reshape(num_views * height * width,
-                               images_shwc.shape[3])
-    u = np.clip(pixels[..., 0], 0.0, width - 1.0)
-    v = np.clip(pixels[..., 1], 0.0, height - 1.0)
-    x0 = np.floor(u).astype(np.int64)
-    y0 = np.floor(v).astype(np.int64)
-    x1 = np.minimum(x0 + 1, width - 1)
-    y1 = np.minimum(y0 + 1, height - 1)
-    fx = (u - x0).astype(np.float32)[..., None]
-    fy = (v - y0).astype(np.float32)[..., None]
-    base = (np.arange(num_views, dtype=np.int64) * height * width)[:, None]
-    top = flat[base + y0 * width + x0] * (1 - fx) \
-        + flat[base + y0 * width + x1] * fx
-    bottom = flat[base + y1 * width + x0] * (1 - fx) \
-        + flat[base + y1 * width + x1] * fx
-    return top * (1 - fy) + bottom * fy
 
 
 def feature_access_bytes(height: int, width: int, points_per_ray: float,

@@ -6,10 +6,11 @@ baseline and IBRNet's visibility-style pooling), layer norm, masked ops
 (for padded focused samples), and the MSE training loss from paper Eq. 3.
 
 Performance note: the training hot path runs through :func:`linear`,
-:func:`softmax` / :func:`masked_softmax`, and :func:`mse_loss`, so these
-are *fused* ops — each records a single graph node whose backward is one
-closed-form closure, instead of composing 3-5 elementwise autograd nodes
-with their temporary arrays.  ``nn.Linear`` (hence ``nn.MLP``) and the
+:func:`softmax` / :func:`masked_softmax`, and :func:`mse_loss`, and the
+feature fetch through :func:`bilinear_rows`, so these are *fused* ops —
+each records a single graph node whose backward is one closed-form
+closure, instead of composing 3-5 elementwise autograd nodes with their
+temporary arrays.  ``nn.Linear`` (hence ``nn.MLP``) and the
 ray-transformer attention route through them; ``benchmarks/harness.py``
 tracks the training-step timing.
 """
@@ -255,6 +256,69 @@ def gather_rows(x: Tensor, index: np.ndarray) -> Tensor:
                                             x.data.dtype))
 
     return _node(out_data, (x,), backward)
+
+
+def bilinear_rows(x: Tensor, rows: np.ndarray, fx: np.ndarray,
+                  fy: np.ndarray) -> Tensor:
+    """Bilinear interpolation from four row gathers of ``x`` — the fetch.
+
+    ``x`` is (..., C); its leading axes flatten to (M, C) and ``rows`` is
+    a (4, ...) integer array of rows in that flattening for the corners
+    (y0, x0), (y0, x1), (y1, x0) and (y1, x1), named 00, 01, 10 and 11.
+    ``fx`` and ``fy`` are float32 fractions of shape
+    ``rows.shape[1:] + (1,)``.  Every row must be in ``[0, M)``.  The
+    result is (rows.shape[1:] + (C,)), computed as
+
+        top = f00*(1-fx) + f01*fx;  bottom = f10*(1-fx) + f11*fx
+        out = top*(1-fy) + bottom*fy
+
+    one float32 operation per product and per sum, which is the lerp of
+    :func:`repro.models.features.bilinear_gather`, so the bits agree.
+    Each corner is read with ``np.take`` and the lerp runs in place in
+    three reused buffers (the first is the output), instead of the
+    thirteen temporaries the composed expression allocates.
+
+    One fused node: the backward weights the output gradient by the
+    same factors, scatter-adds each corner with the bincount scatter
+    and sums the four in float32 in corner order 00, 01, 10, 11 — the
+    accumulation the composed 14-node graph performs.  A plain ndarray
+    ``x`` (or inference mode) returns a graph-free tensor.
+    """
+    x = as_tensor(x)
+    flat = x.data.reshape(-1, x.data.shape[-1])
+    rows = np.asarray(rows, dtype=np.intp)
+    wx, wy = 1.0 - fx, 1.0 - fy
+    out = np.take(flat, rows[0], axis=0)
+    out *= wx
+    right = np.take(flat, rows[1], axis=0)
+    right *= fx
+    out += right
+    # mode="clip" lets take write into ``out=`` unbuffered ("raise"
+    # buffers it); the rows are in range, so nothing is clipped.
+    bottom = np.take(flat, rows[2], axis=0, out=right, mode="clip")
+    bottom *= wx
+    right = np.take(flat, rows[3], axis=0)
+    right *= fx
+    bottom += right
+    out *= wy
+    bottom *= fy
+    out += bottom
+    if not x._tracked():
+        return _plain(out)
+    flat_shape = flat.shape
+
+    def backward(g: np.ndarray) -> None:
+        if not x.requires_grad:
+            return
+        total = _scatter_add_rows(rows[0], (g * wy) * wx, flat_shape,
+                                  x.dtype)
+        for corner, weight_y, weight_x in ((1, wy, fx), (2, fy, wx),
+                                           (3, fy, fx)):
+            total += _scatter_add_rows(rows[corner], (g * weight_y) * weight_x,
+                                       flat_shape, x.dtype)
+        x._accumulate(total.reshape(x.shape))
+
+    return _node(out, (x,), backward)
 
 
 def scatter_rows(x: Tensor, index: np.ndarray, num_rows: int) -> Tensor:
